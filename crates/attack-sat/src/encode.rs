@@ -4,7 +4,7 @@
 //! The encoder walks the **elaborated netlist** `vlog` exposes
 //! ([`VlogSim::body`], [`VlogSim::wires`], [`VlogSim::sigs`]) and mirrors
 //! the simulator's evaluation semantics *exactly* — the same IEEE-1364
-//! context sizing ([`VlogSim::self_width`] / [`VlogSim::self_signed`]),
+//! context sizing ([`CExpr::self_width`] / [`CExpr::self_signed`]),
 //! the same two-state 64-bit value domain, the same divide-by-zero and
 //! shift rules, the same nonblocking commit order — except that every
 //! value is a vector of CNF literals instead of a `u64`. The workspace
@@ -495,13 +495,13 @@ impl<'a> Encoder<'a> {
         e: &CExpr,
         target_width: u32,
     ) -> Bv {
-        let w = target_width.max(self.sim.self_width(e));
-        let v = self.eval(g, st, cache, e, w, self.sim.self_signed(e));
+        let w = target_width.max(e.self_width());
+        let v = self.eval(g, st, cache, e, w, e.self_signed());
         v.extend(g, target_width, false)
     }
 
     fn eval_self(&self, g: &mut Gates, st: &St, cache: &mut Vec<Option<Bv>>, e: &CExpr) -> Bv {
-        self.eval(g, st, cache, e, self.sim.self_width(e), self.sim.self_signed(e))
+        self.eval(g, st, cache, e, e.self_width(), e.self_signed())
     }
 
     /// A signal's current value at its declared width (wires evaluate
@@ -639,15 +639,15 @@ impl<'a> Encoder<'a> {
                 tv.mux(g, cl, &ev)
             }
             CExpr::Signed(a) => {
-                let aw = self.sim.self_width(a);
-                let v = self.eval(g, st, cache, a, aw, self.sim.self_signed(a));
+                let aw = a.self_width();
+                let v = self.eval(g, st, cache, a, aw, a.self_signed());
                 v.extend(g, w, s)
             }
             CExpr::Concat(parts) => {
                 let mut acc: Vec<Lit> = Vec::new();
                 for p in parts {
-                    let pw = self.sim.self_width(p);
-                    let v = self.eval(g, st, cache, p, pw, self.sim.self_signed(p));
+                    let pw = p.self_width();
+                    let v = self.eval(g, st, cache, p, pw, p.self_signed());
                     // acc = (acc << pw) | v, truncated to the 64-bit
                     // value domain like the simulator's u64 accumulator.
                     let mut next = v.0;
@@ -658,8 +658,8 @@ impl<'a> Encoder<'a> {
                 Bv(acc).extend(g, w, false)
             }
             CExpr::Repeat { n, a } => {
-                let aw = self.sim.self_width(a);
-                let v = self.eval(g, st, cache, a, aw, self.sim.self_signed(a));
+                let aw = a.self_width();
+                let v = self.eval(g, st, cache, a, aw, a.self_signed());
                 let mut acc: Vec<Lit> = Vec::new();
                 for _ in 0..*n {
                     let mut next = v.0.clone();
@@ -740,8 +740,8 @@ impl<'a> Encoder<'a> {
                 }
             }
             B::Eq | B::Ne | B::Lt | B::Le | B::Gt | B::Ge => {
-                let cw = self.sim.self_width(a).max(self.sim.self_width(b));
-                let cs = self.sim.self_signed(a) && self.sim.self_signed(b);
+                let cw = a.self_width().max(b.self_width());
+                let cs = a.self_signed() && b.self_signed();
                 let va = self.eval(g, st, cache, a, cw, cs);
                 let vb = self.eval(g, st, cache, b, cw, cs);
                 let r = match op {

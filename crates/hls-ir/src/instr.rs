@@ -264,17 +264,21 @@ impl Instr {
         }
     }
 
-    /// All operands read by this instruction.
-    pub fn uses(&self) -> Vec<Operand> {
-        match self {
-            Instr::Binary { lhs, rhs, .. } | Instr::Cmp { lhs, rhs, .. } => vec![*lhs, *rhs],
-            Instr::Unary { src, .. } | Instr::Convert { src, .. } | Instr::Copy { src, .. } => {
-                vec![*src]
+    /// All operands read by this instruction, in operand order (without
+    /// allocating: analyses call this for every instruction).
+    pub fn uses(&self) -> impl Iterator<Item = Operand> + '_ {
+        let (fixed, args): ([Option<Operand>; 2], &[Operand]) = match self {
+            Instr::Binary { lhs, rhs, .. } | Instr::Cmp { lhs, rhs, .. } => {
+                ([Some(*lhs), Some(*rhs)], &[])
             }
-            Instr::Load { index, .. } => vec![*index],
-            Instr::Store { index, value, .. } => vec![*index, *value],
-            Instr::Call { args, .. } => args.clone(),
-        }
+            Instr::Unary { src, .. } | Instr::Convert { src, .. } | Instr::Copy { src, .. } => {
+                ([Some(*src), None], &[])
+            }
+            Instr::Load { index, .. } => ([Some(*index), None], &[]),
+            Instr::Store { index, value, .. } => ([Some(*index), Some(*value)], &[]),
+            Instr::Call { args, .. } => ([None, None], args),
+        };
+        fixed.into_iter().flatten().chain(args.iter().copied())
     }
 
     /// Mutable references to all operands read by this instruction.
@@ -465,7 +469,7 @@ mod tests {
             dst: ValueId(3),
         };
         assert_eq!(i.def(), Some(ValueId(3)));
-        assert_eq!(i.uses().len(), 2);
+        assert_eq!(i.uses().count(), 2);
         assert!(!i.has_side_effects());
 
         let s = Instr::Store {

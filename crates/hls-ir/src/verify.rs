@@ -1,8 +1,10 @@
 //! IR well-formedness verifier.
 //!
-//! Run after the front end and after every pass (the pass manager does this
-//! automatically in debug builds) to catch malformed IR early instead of as
-//! mysterious scheduling failures.
+//! Run after the front end and after every pass (`passes::optimize` does
+//! this automatically, in every build) to catch malformed IR early instead
+//! of as mysterious scheduling failures. The checks allocate nothing on
+//! success: a failure's description, which renders the offending
+//! instruction, is built only when a check fails.
 
 use crate::function::{Function, Module};
 use crate::instr::{Instr, Terminator};
@@ -57,54 +59,11 @@ pub fn verify_function(m: &Module, f: &Function) -> Result<(), VerifyError> {
             return Err(err(format!("parameter {p} has no type entry")));
         }
     }
-    let check_operand = |op: Operand, what: &str| -> Result<(), VerifyError> {
-        match op {
-            Operand::Value(v) if v.index() >= f.value_types.len() => {
-                Err(err(format!("{what}: dangling value {v}")))
-            }
-            Operand::Const(c) if c.index() >= f.consts.len() => {
-                Err(err(format!("{what}: dangling constant {c}")))
-            }
-            _ => Ok(()),
-        }
-    };
     for b in f.block_ids() {
         let blk = f.block(b);
         for (i, instr) in blk.instrs.iter().enumerate() {
-            let what = format!("{b} instr {i} `{instr}`");
-            for u in instr.uses() {
-                check_operand(u, &what)?;
-            }
-            if let Some(d) = instr.def() {
-                if d.index() >= f.value_types.len() {
-                    return Err(err(format!("{what}: dangling destination {d}")));
-                }
-            }
-            match instr {
-                Instr::Cmp { dst, .. } if f.value_type(*dst) != Type::BOOL => {
-                    return Err(err(format!("{what}: cmp result must be u1")));
-                }
-                Instr::Load { array, .. } | Instr::Store { array, .. }
-                    if m.mem_object(f, *array).is_none() =>
-                {
-                    return Err(err(format!("{what}: dangling array {array}")));
-                }
-                Instr::Call { func, args, .. } => {
-                    if func.index() >= m.functions.len() {
-                        return Err(err(format!("{what}: dangling callee {func}")));
-                    }
-                    let callee = m.function(*func);
-                    if callee.params.len() != args.len() {
-                        return Err(err(format!(
-                            "{what}: arity mismatch calling {} ({} vs {})",
-                            callee.name,
-                            callee.params.len(),
-                            args.len()
-                        )));
-                    }
-                }
-                _ => {}
-            }
+            check_instr(m, f, instr)
+                .map_err(|msg| err(format!("{b} instr {i} `{instr}`: {msg}")))?;
         }
         match &blk.terminator {
             Terminator::Jump(t) => {
@@ -113,7 +72,7 @@ pub fn verify_function(m: &Module, f: &Function) -> Result<(), VerifyError> {
                 }
             }
             Terminator::Branch { cond, then_to, else_to } => {
-                check_operand(*cond, &format!("{b} branch cond"))?;
+                check_operand(f, *cond).map_err(|msg| err(format!("{b} branch cond: {msg}")))?;
                 if f.operand_type(*cond) != Type::BOOL {
                     return Err(err(format!("{b}: branch condition must be u1")));
                 }
@@ -124,7 +83,7 @@ pub fn verify_function(m: &Module, f: &Function) -> Result<(), VerifyError> {
                 }
             }
             Terminator::Return(Some(v)) => {
-                check_operand(*v, &format!("{b} return"))?;
+                check_operand(f, *v).map_err(|msg| err(format!("{b} return: {msg}")))?;
                 if f.ret_ty.is_none() {
                     return Err(err(format!("{b}: returns a value from a void function")));
                 }
@@ -137,6 +96,56 @@ pub fn verify_function(m: &Module, f: &Function) -> Result<(), VerifyError> {
         }
     }
     Ok(())
+}
+
+/// Checks that an operand references an existing value or constant; the
+/// error is the failure's description without its location.
+fn check_operand(f: &Function, op: Operand) -> Result<(), String> {
+    match op {
+        Operand::Value(v) if v.index() >= f.value_types.len() => Err(format!("dangling value {v}")),
+        Operand::Const(c) if c.index() >= f.consts.len() => Err(format!("dangling constant {c}")),
+        _ => Ok(()),
+    }
+}
+
+/// Checks one instruction's operands, destination, result type and
+/// references; the error is the failure's description without its
+/// location.
+fn check_instr(m: &Module, f: &Function, instr: &Instr) -> Result<(), String> {
+    for u in instr.uses() {
+        check_operand(f, u)?;
+    }
+    if let Some(d) = instr.def() {
+        if d.index() >= f.value_types.len() {
+            return Err(format!("dangling destination {d}"));
+        }
+    }
+    match instr {
+        Instr::Cmp { dst, .. } if f.value_type(*dst) != Type::BOOL => {
+            Err("cmp result must be u1".into())
+        }
+        Instr::Load { array, .. } | Instr::Store { array, .. }
+            if m.mem_object(f, *array).is_none() =>
+        {
+            Err(format!("dangling array {array}"))
+        }
+        Instr::Call { func, args, .. } => {
+            if func.index() >= m.functions.len() {
+                return Err(format!("dangling callee {func}"));
+            }
+            let callee = m.function(*func);
+            if callee.params.len() != args.len() {
+                return Err(format!(
+                    "arity mismatch calling {} ({} vs {})",
+                    callee.name,
+                    callee.params.len(),
+                    args.len()
+                ));
+            }
+            Ok(())
+        }
+        _ => Ok(()),
+    }
 }
 
 #[cfg(test)]
@@ -201,6 +210,39 @@ mod tests {
         f.block_mut(b2).terminator = Terminator::Return(None);
         f.blocks[0].terminator = Terminator::Branch { cond: wide.into(), then_to: b2, else_to: b2 };
         assert!(verify_module(&m).is_err());
+    }
+
+    #[test]
+    fn error_messages_locate_and_render_the_failure() {
+        // The texts are pinned: building them lazily must not change them.
+        let mut m = trivial_module();
+        let f = &mut m.functions[0];
+        let a = f.new_value(Type::I32);
+        let bad = f.new_value(Type::I32);
+        let cmp = |rhs: ValueId| Instr::Cmp {
+            pred: CmpPred::Lt,
+            ty: Type::I32,
+            lhs: a.into(),
+            rhs: rhs.into(),
+            dst: bad,
+        };
+        f.blocks[0].instrs.push(cmp(ValueId(9)));
+        assert_eq!(
+            verify_module(&m).unwrap_err().to_string(),
+            "verify failed in `f`: bb0 instr 0 `%v1 = cmp lt i32 %v0, %v9`: dangling value %v9"
+        );
+        m.functions[0].blocks[0].instrs[0] = cmp(a);
+        assert_eq!(
+            verify_module(&m).unwrap_err().to_string(),
+            "verify failed in `f`: bb0 instr 0 `%v1 = cmp lt i32 %v0, %v0`: cmp result must be u1"
+        );
+        m.functions[0].blocks[0].instrs.clear();
+        m.functions[0].ret_ty = Some(Type::I32);
+        m.functions[0].blocks[0].terminator = Terminator::Return(Some(ValueId(99).into()));
+        assert_eq!(
+            verify_module(&m).unwrap_err(),
+            VerifyError { function: "f".into(), message: "bb0 return: dangling value %v99".into() }
+        );
     }
 
     #[test]

@@ -6,6 +6,11 @@
 //! assigns, `localparam`s, and `always @(posedge clk)` processes built
 //! from `begin`/`end` blocks, `if`/`else`, `case` and nonblocking
 //! assignments.
+//!
+//! Names are interned [`Sym`]s; [`Module::names`] maps them back to the
+//! source text.
+
+use crate::lexer::{Names, Sym};
 
 /// Unary expression operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,18 +61,18 @@ pub enum Expr {
         value: u64,
     },
     /// Signal, parameter or port reference.
-    Ident(String),
+    Ident(Sym),
     /// Bit-select `sig[e]` or memory-element read `mem[e]`.
     Select {
         /// Base identifier.
-        base: String,
+        base: Sym,
         /// Index expression (self-determined).
         index: Box<Expr>,
     },
     /// Constant part-select `sig[hi:lo]`.
     Part {
         /// Base identifier.
-        base: String,
+        base: Sym,
         /// High bit.
         hi: u32,
         /// Low bit.
@@ -115,7 +120,7 @@ pub enum Expr {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Target {
     /// Assigned identifier (register or memory).
-    pub base: String,
+    pub base: Sym,
     /// Memory element index, when the target is `mem[e]`.
     pub index: Option<Expr>,
 }
@@ -174,7 +179,7 @@ pub enum Dir {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Port {
     /// Port name.
-    pub name: String,
+    pub name: Sym,
     /// Direction.
     pub dir: Dir,
     /// Bit width.
@@ -187,7 +192,7 @@ pub struct Port {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Net {
     /// Net name.
-    pub name: String,
+    pub name: Sym,
     /// Bit width.
     pub width: u32,
     /// `reg` (procedural) vs `wire` (continuous).
@@ -198,7 +203,7 @@ pub struct Net {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Mem {
     /// Memory name.
-    pub name: String,
+    pub name: Sym,
     /// Element width in bits.
     pub elem_width: u32,
     /// Element count.
@@ -207,11 +212,11 @@ pub struct Mem {
     pub external: bool,
 }
 
-/// A parsed module.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Module {
+/// A parsed module, borrowing its names from the source text.
+#[derive(Debug, Clone, Default)]
+pub struct Module<'a> {
     /// Module name.
-    pub name: String,
+    pub name: Sym,
     /// Ports in declaration order.
     pub ports: Vec<Port>,
     /// Body-declared scalar nets.
@@ -219,11 +224,13 @@ pub struct Module {
     /// Memories in declaration order.
     pub mems: Vec<Mem>,
     /// `localparam` definitions.
-    pub params: Vec<(String, Expr)>,
+    pub params: Vec<(Sym, Expr)>,
     /// Continuous assigns (wire initializers are normalized into these).
-    pub assigns: Vec<(String, Expr)>,
+    pub assigns: Vec<(Sym, Expr)>,
     /// `initial` blocks.
     pub initials: Vec<Stmt>,
     /// `always @(posedge <clock>)` processes.
-    pub always: Vec<(String, Stmt)>,
+    pub always: Vec<(Sym, Stmt)>,
+    /// The symbol table every [`Sym`] above indexes.
+    pub names: Names<'a>,
 }

@@ -56,6 +56,5 @@ pub mod vcd;
 
 pub use parser::{parse, ParseError};
 pub use sim::{vlog_outputs, CExpr, CMem, CStmt, Sig, SigKind, VlogError, VlogSim};
-pub use spec::{specialization_report, SpecReport};
 pub use tape::{GridRunner, GridTape, TapeRunner, VlogTape};
 pub use vcd::{parse_vcd, trace_tape, SignalTrace, Vcd, VcdChange, VcdError, VcdVar, Waveform};

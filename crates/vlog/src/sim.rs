@@ -22,7 +22,8 @@
 //! simulator it must agree with.
 
 use crate::ast::{self, Dir, Expr, Module, Stmt};
-use crate::parser::{parse, ParseError};
+use crate::lexer::{Names, Sym};
+use crate::parser::{parse, ParseError, MAX_MEM_WORDS, MAX_WIDTH};
 use hls_core::KeyBits;
 use sim_core::{OutputImage, SimError, SimOptions, SimResult, TestCase};
 use std::collections::BTreeMap;
@@ -64,7 +65,7 @@ fn err<T>(msg: impl Into<String>) -> Result<T, VlogError> {
 // types are public; [`VlogSim`] exposes read-only views below.
 
 /// An elaborated expression (identifiers resolved, parameters folded).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CExpr {
     /// Numeric literal.
     Const {
@@ -322,16 +323,6 @@ impl VlogSim {
         self.key.map(|(_, w)| w).unwrap_or(0)
     }
 
-    /// Memory declaration info: `(name, element width, length, external)`.
-    pub fn mem_info(&self) -> Vec<(String, u32, usize, bool)> {
-        self.mems.iter().map(|m| (m.name.clone(), m.elem_width, m.len, m.external)).collect()
-    }
-
-    /// Indices of memories the module writes (store targets in the text).
-    pub fn written_mems(&self) -> Vec<usize> {
-        self.mems.iter().enumerate().filter(|(_, m)| m.written).map(|(i, _)| i).collect()
-    }
-
     // ------------------------------------------- elaborated netlist view
     //
     // Read-only access to the compiled design, for external encoders
@@ -390,12 +381,6 @@ impl VlogSim {
     /// Signal id and declared width of the `ret` port, when present.
     pub fn ret_sig(&self) -> Option<(usize, u32)> {
         self.ret
-    }
-
-    /// Datapath-register signal ids `r{i}` in index order (`usize::MAX`
-    /// marks a register the text never declares).
-    pub fn reg_id_table(&self) -> &[usize] {
-        &self.reg_ids
     }
 
     /// Simulates the module with the given argument values and working
@@ -542,14 +527,14 @@ impl VlogSim {
     /// type is the right-hand side's own; the result truncates to the
     /// target width.
     fn eval_assign(&self, e: &CExpr, target_width: u32, st: &RunState) -> u64 {
-        let w = target_width.max(self.self_width(e));
-        let v = self.eval(e, st, w, self.self_signed(e));
+        let w = target_width.max(e.self_width());
+        let v = self.eval(e, st, w, e.self_signed());
         v & mask(target_width)
     }
 
     /// Self-determined evaluation (conditions, indices, case subjects).
     fn eval_self(&self, e: &CExpr, st: &RunState) -> u64 {
-        self.eval(e, st, self.self_width(e), self.self_signed(e))
+        self.eval(e, st, e.self_width(), e.self_signed())
     }
 
     fn read_sig(&self, id: usize, st: &RunState) -> u64 {
@@ -672,8 +657,8 @@ impl VlogSim {
                     }
                 }
                 B::Eq | B::Ne | B::Lt | B::Le | B::Gt | B::Ge => {
-                    let cw = self.self_width(a).max(self.self_width(b));
-                    let cs = self.self_signed(a) && self.self_signed(b);
+                    let cw = a.self_width().max(b.self_width());
+                    let cs = a.self_signed() && b.self_signed();
                     let (va, vb) = (self.eval(a, st, cw, cs), self.eval(b, st, cw, cs));
                     let r = if cs {
                         let (ia, ib) = (to_signed(va, cw), to_signed(vb, cw));
@@ -714,22 +699,22 @@ impl VlogSim {
                 }
             }
             CExpr::Signed(a) => {
-                let aw = self.self_width(a);
-                let v = self.eval(a, st, aw, self.self_signed(a));
+                let aw = a.self_width();
+                let v = self.eval(a, st, aw, a.self_signed());
                 extend(v, aw, w, s)
             }
             CExpr::Concat(parts) => {
                 let mut acc = 0u64;
                 for p in parts {
-                    let pw = self.self_width(p);
-                    let v = self.eval(p, st, pw, self.self_signed(p));
+                    let pw = p.self_width();
+                    let v = self.eval(p, st, pw, p.self_signed());
                     acc = (acc << pw) | (v & mask(pw));
                 }
                 acc & mask(w)
             }
             CExpr::Repeat { n, a } => {
-                let aw = self.self_width(a);
-                let v = self.eval(a, st, aw, self.self_signed(a)) & mask(aw);
+                let aw = a.self_width();
+                let v = self.eval(a, st, aw, a.self_signed()) & mask(aw);
                 let mut acc = 0u64;
                 for _ in 0..*n {
                     acc = (acc << aw) | v;
@@ -750,14 +735,17 @@ impl VlogSim {
     fn mem_read(&self, mem: usize, idx: usize, st: &RunState) -> u64 {
         st.mems[mem].get(idx).copied().unwrap_or(0)
     }
+}
 
-    /// IEEE-1364 self-determined size of an elaborated expression — the
-    /// context width at which conditions, indices, shift amounts and case
-    /// subjects evaluate. Public so external encoders apply the same
-    /// sizing rules the simulator does.
-    pub fn self_width(&self, e: &CExpr) -> u32 {
+impl CExpr {
+    /// IEEE-1364 self-determined size — the context width at which
+    /// conditions, indices, shift amounts and case subjects evaluate.
+    /// Public so external encoders apply the same sizing rules the
+    /// simulator does. Elaboration bounds every expression's width by
+    /// [`MAX_WIDTH`], so the sums and products here cannot overflow.
+    pub fn self_width(&self) -> u32 {
         use ast::BinOp as B;
-        match e {
+        match self {
             CExpr::Const { width, unsz, .. } => {
                 if *unsz {
                     32
@@ -770,35 +758,35 @@ impl VlogSim {
             CExpr::SelMem { elem_width, .. } => *elem_width,
             CExpr::PartSig { hi, lo, .. } => hi - lo + 1,
             CExpr::Unary { op: ast::UnOp::LogNot, .. } => 1,
-            CExpr::Unary { a, .. } => self.self_width(a),
+            CExpr::Unary { a, .. } => a.self_width(),
             CExpr::Binary { op, a, b } => match op {
                 B::Eq | B::Ne | B::Lt | B::Le | B::Gt | B::Ge | B::LAnd | B::LOr => 1,
-                B::Shl | B::Shr | B::AShr => self.self_width(a),
-                _ => self.self_width(a).max(self.self_width(b)),
+                B::Shl | B::Shr | B::AShr => a.self_width(),
+                _ => a.self_width().max(b.self_width()),
             },
-            CExpr::Cond { t, e, .. } => self.self_width(t).max(self.self_width(e)),
-            CExpr::Signed(a) => self.self_width(a),
-            CExpr::Concat(parts) => parts.iter().map(|p| self.self_width(p)).sum(),
-            CExpr::Repeat { n, a } => n * self.self_width(a),
+            CExpr::Cond { t, e, .. } => t.self_width().max(e.self_width()),
+            CExpr::Signed(a) => a.self_width(),
+            CExpr::Concat(parts) => parts.iter().map(CExpr::self_width).sum(),
+            CExpr::Repeat { n, a } => n * a.self_width(),
         }
     }
 
-    /// Self-determined signedness of an elaborated expression (the
-    /// conjunction rule: an operation is signed only if every operand
-    /// is). Public for the same reason as [`VlogSim::self_width`].
-    pub fn self_signed(&self, e: &CExpr) -> bool {
+    /// Self-determined signedness (the conjunction rule: an operation is
+    /// signed only if every operand is). Public for the same reason as
+    /// [`CExpr::self_width`].
+    pub fn self_signed(&self) -> bool {
         use ast::BinOp as B;
-        match e {
+        match self {
             CExpr::Const { signed, .. } => *signed,
             CExpr::Signed(_) => true,
             CExpr::Unary { op: ast::UnOp::LogNot, .. } => false,
-            CExpr::Unary { a, .. } => self.self_signed(a),
+            CExpr::Unary { a, .. } => a.self_signed(),
             CExpr::Binary { op, a, b } => match op {
                 B::Eq | B::Ne | B::Lt | B::Le | B::Gt | B::Ge | B::LAnd | B::LOr => false,
-                B::Shl | B::Shr | B::AShr => self.self_signed(a),
-                _ => self.self_signed(a) && self.self_signed(b),
+                B::Shl | B::Shr | B::AShr => a.self_signed(),
+                _ => a.self_signed() && b.self_signed(),
             },
-            CExpr::Cond { t, e, .. } => self.self_signed(t) && self.self_signed(e),
+            CExpr::Cond { t, e, .. } => t.self_signed() && e.self_signed(),
             _ => false,
         }
     }
@@ -806,24 +794,34 @@ impl VlogSim {
 
 // -------------------------------------------------------------- compiler
 
-struct Compiler {
-    sigs: Vec<Sig>,
-    wires: Vec<CExpr>,
-    by_name: BTreeMap<String, usize>,
-    mems: Vec<CMem>,
-    mem_by_name: BTreeMap<String, usize>,
-    params: BTreeMap<String, (u64, u32)>,
+/// What one symbol names. Signals, memories and localparams are separate
+/// namespaces, so one name may bind all three; each use site picks its
+/// namespace (an identifier reads a localparam before a signal, a select
+/// or assignment target a memory before a signal).
+#[derive(Debug, Clone, Copy, Default)]
+struct Binding {
+    sig: Option<usize>,
+    mem: Option<usize>,
+    param: Option<(u64, u32)>,
 }
 
-impl Compiler {
-    fn compile(module: &Module) -> Result<VlogSim, VlogError> {
+struct Compiler<'m, 'a> {
+    names: &'m Names<'a>,
+    /// Bindings, indexed by symbol.
+    binds: Vec<Binding>,
+    sigs: Vec<Sig>,
+    wires: Vec<CExpr>,
+    mems: Vec<CMem>,
+}
+
+impl<'m, 'a> Compiler<'m, 'a> {
+    fn compile(module: &'m Module<'a>) -> Result<VlogSim, VlogError> {
         let mut c = Compiler {
+            names: &module.names,
+            binds: vec![Binding::default(); module.names.len()],
             sigs: Vec::new(),
             wires: Vec::new(),
-            by_name: BTreeMap::new(),
             mems: Vec::new(),
-            mem_by_name: BTreeMap::new(),
-            params: BTreeMap::new(),
         };
 
         for p in &module.ports {
@@ -834,17 +832,23 @@ impl Compiler {
                 // below; placeholder index patched when the assign appears.
                 (Dir::Output, false) => SigKind::Reg,
             };
-            c.add_sig(&p.name, p.width, kind)?;
+            c.add_sig(p.name, p.width, kind)?;
         }
         for n in &module.nets {
-            c.add_sig(&n.name, n.width, SigKind::Reg)?;
+            c.add_sig(n.name, n.width, SigKind::Reg)?;
         }
+        let mut words = 0u64;
         for m in &module.mems {
-            if c.mem_by_name.insert(m.name.clone(), c.mems.len()).is_some() {
-                return err(format!("duplicate memory `{}`", m.name));
+            let (name, bind) = (c.name(m.name), &mut c.binds[m.name.index()]);
+            if bind.mem.replace(c.mems.len()).is_some() {
+                return err(format!("duplicate memory `{name}`"));
+            }
+            words += m.len as u64;
+            if words > MAX_MEM_WORDS {
+                return err(format!("memories exceed the {MAX_MEM_WORDS}-element cap at `{name}`"));
             }
             c.mems.push(CMem {
-                name: m.name.clone(),
+                name: name.to_string(),
                 elem_width: m.elem_width,
                 len: m.len,
                 external: m.external,
@@ -854,20 +858,20 @@ impl Compiler {
         for (name, e) in &module.params {
             let ce = c.cexpr(e)?;
             let Some(v) = const_value(&ce) else {
-                return err(format!("localparam `{name}` is not a constant"));
+                return err(format!("localparam `{}` is not a constant", c.name(*name)));
             };
             let w = match &ce {
                 CExpr::Const { width, unsz: false, .. } => *width,
                 _ => 32,
             };
-            c.params.insert(name.clone(), (v, w));
+            c.binds[name.index()].param = Some((v, w));
         }
         // Parameters may be referenced by earlier-compiled expressions only
         // through statements/assigns compiled after this point, which is
         // the order `emit` produces (localparams precede uses).
         for (name, e) in &module.assigns {
-            let Some(&id) = c.by_name.get(name) else {
-                return err(format!("assign to undeclared net `{name}`"));
+            let Some(id) = c.binds[name.index()].sig else {
+                return err(format!("assign to undeclared net `{}`", c.name(*name)));
             };
             let ce = c.cexpr(e)?;
             let widx = c.wires.len();
@@ -888,6 +892,7 @@ impl Compiler {
             ));
         }
         let (clock, body) = &module.always[0];
+        let clock = c.name(*clock);
         if clock != "clk" {
             return err(format!("always block must be clocked by `clk`, found `{clock}`"));
         }
@@ -898,7 +903,7 @@ impl Compiler {
         }
 
         // Port roles.
-        let get = |name: &str| c.by_name.get(name).copied();
+        let get = |name: &str| c.names.get(name).and_then(|s| c.binds[s.index()].sig);
         let (Some(rst), Some(start), Some(done)) = (get("rst"), get("start"), get("done")) else {
             return err("missing rst/start/done handshake ports");
         };
@@ -916,6 +921,12 @@ impl Compiler {
         let mut regs: Vec<(usize, usize)> = Vec::new();
         for (id, s) in c.sigs.iter().enumerate() {
             if let Some(num) = s.name.strip_prefix('r').and_then(|n| n.parse::<usize>().ok()) {
+                if num >= MAX_REGS {
+                    return err(format!(
+                        "register `{}` exceeds the {MAX_REGS}-register cap",
+                        s.name
+                    ));
+                }
                 regs.push((num, id));
             }
         }
@@ -926,7 +937,7 @@ impl Compiler {
         }
 
         Ok(VlogSim {
-            name: module.name.clone(),
+            name: c.name(module.name).to_string(),
             sigs: c.sigs,
             wires: c.wires,
             mems: c.mems,
@@ -942,15 +953,19 @@ impl Compiler {
         })
     }
 
-    fn add_sig(&mut self, name: &str, width: u32, kind: SigKind) -> Result<usize, VlogError> {
+    fn name(&self, s: Sym) -> &'a str {
+        self.names.name(s)
+    }
+
+    fn add_sig(&mut self, sym: Sym, width: u32, kind: SigKind) -> Result<usize, VlogError> {
+        let name = self.name(sym);
         if width > 64 && kind != SigKind::Input {
             return err(format!("`{name}`: only input ports may exceed 64 bits"));
         }
-        if self.by_name.contains_key(name) {
+        let id = self.sigs.len();
+        if self.binds[sym.index()].sig.replace(id).is_some() {
             return err(format!("duplicate signal `{name}`"));
         }
-        let id = self.sigs.len();
-        self.by_name.insert(name.to_string(), id);
         self.sigs.push(Sig { name: name.to_string(), width, kind });
         Ok(id)
     }
@@ -968,7 +983,7 @@ impl Compiler {
                 Ok(())
             }
             Stmt::Blocking { target, value } => {
-                let Some(&m) = self.mem_by_name.get(&target.base) else {
+                let Some(m) = self.binds[target.base.index()].mem else {
                     return err("initial blocks may only load memories");
                 };
                 let Some(idx_e) = &target.index else {
@@ -1004,7 +1019,7 @@ impl Compiler {
             },
             Stmt::Case { subject, arms, default } => {
                 let subject = self.cexpr(subject)?;
-                let mut carms = Vec::new();
+                let mut carms = Vec::with_capacity(arms.len() + 1);
                 let mut map = BTreeMap::new();
                 for (label, body) in arms {
                     let le = self.cexpr(label)?;
@@ -1025,9 +1040,10 @@ impl Compiler {
             }
             Stmt::NonBlocking { target, value } | Stmt::Blocking { target, value } => {
                 let value = self.cexpr(value)?;
-                if let Some(&m) = self.mem_by_name.get(&target.base) {
+                let (base, bind) = (self.name(target.base), self.binds[target.base.index()]);
+                if let Some(m) = bind.mem {
                     let Some(idx) = &target.index else {
-                        return err(format!("memory `{}` assigned without index", target.base));
+                        return err(format!("memory `{base}` assigned without index"));
                     };
                     written[m] = true;
                     CStmt::AssignMem {
@@ -1037,14 +1053,11 @@ impl Compiler {
                         value,
                     }
                 } else {
-                    let Some(&id) = self.by_name.get(&target.base) else {
-                        return err(format!("assignment to undeclared `{}`", target.base));
+                    let Some(id) = bind.sig else {
+                        return err(format!("assignment to undeclared `{base}`"));
                     };
                     if target.index.is_some() {
-                        return err(format!(
-                            "bit-select assignment to `{}` unsupported",
-                            target.base
-                        ));
+                        return err(format!("bit-select assignment to `{base}` unsupported"));
                     }
                     CStmt::AssignSig { id, width: self.sigs[id].width, value }
                 }
@@ -1054,6 +1067,7 @@ impl Compiler {
     }
 
     fn cexpr(&self, e: &Expr) -> Result<CExpr, VlogError> {
+        let undeclared = |name: Sym| err(format!("undeclared identifier `{}`", self.name(name)));
         Ok(match e {
             Expr::Num { size, signed, value } => CExpr::Const {
                 value: *value,
@@ -1062,30 +1076,32 @@ impl Compiler {
                 unsz: size.is_none(),
             },
             Expr::Ident(name) => {
-                if let Some(&(v, w)) = self.params.get(name) {
+                let bind = self.binds[name.index()];
+                if let Some((v, w)) = bind.param {
                     CExpr::Const { value: v, width: w, signed: false, unsz: false }
-                } else if let Some(&id) = self.by_name.get(name) {
+                } else if let Some(id) = bind.sig {
                     CExpr::Sig { id, width: self.sigs[id].width }
                 } else {
-                    return err(format!("undeclared identifier `{name}`"));
+                    return undeclared(*name);
                 }
             }
             Expr::Select { base, index } => {
                 let index = Box::new(self.cexpr(index)?);
-                if let Some(&m) = self.mem_by_name.get(base) {
+                let bind = self.binds[base.index()];
+                if let Some(m) = bind.mem {
                     CExpr::SelMem { mem: m, index, elem_width: self.mems[m].elem_width }
-                } else if let Some(&id) = self.by_name.get(base) {
+                } else if let Some(id) = bind.sig {
                     CExpr::SelBit { id, index }
                 } else {
-                    return err(format!("undeclared identifier `{base}`"));
+                    return undeclared(*base);
                 }
             }
             Expr::Part { base, hi, lo } => {
-                let Some(&id) = self.by_name.get(base) else {
-                    return err(format!("undeclared identifier `{base}`"));
+                let Some(id) = self.binds[base.index()].sig else {
+                    return undeclared(*base);
                 };
-                if hi < lo || hi - lo + 1 > 64 {
-                    return err(format!("bad part-select [{hi}:{lo}] on `{base}`"));
+                if hi < lo || hi - lo >= 64 {
+                    return err(format!("bad part-select [{hi}:{lo}] on `{}`", self.name(*base)));
                 }
                 CExpr::PartSig { id, hi: *hi, lo: *lo }
             }
@@ -1100,12 +1116,32 @@ impl Compiler {
             },
             Expr::Signed(a) => CExpr::Signed(Box::new(self.cexpr(a)?)),
             Expr::Concat(parts) => {
-                CExpr::Concat(parts.iter().map(|p| self.cexpr(p)).collect::<Result<_, _>>()?)
+                let parts = parts.iter().map(|p| self.cexpr(p)).collect::<Result<Vec<_>, _>>()?;
+                let width: u64 = parts.iter().map(|p| u64::from(p.self_width())).sum();
+                capped_width(width, "concatenation")?;
+                CExpr::Concat(parts)
             }
-            Expr::Repeat { n, a } => CExpr::Repeat { n: *n, a: Box::new(self.cexpr(a)?) },
+            Expr::Repeat { n, a } => {
+                let a = Box::new(self.cexpr(a)?);
+                capped_width(u64::from(*n) * u64::from(a.self_width()), "replication")?;
+                CExpr::Repeat { n: *n, a }
+            }
         })
     }
 }
+
+/// Rejects a concatenation or replication wider than [`MAX_WIDTH`] (the
+/// operands are already bounded, so only these two can grow a width).
+fn capped_width(width: u64, what: &str) -> Result<(), VlogError> {
+    if width > u64::from(MAX_WIDTH) {
+        return err(format!("{width}-bit {what} exceeds the {MAX_WIDTH}-bit width cap"));
+    }
+    Ok(())
+}
+
+/// Most datapath registers `r{i}` a module may declare (each is one slot
+/// of every [`SimResult::regs`]).
+const MAX_REGS: usize = 1 << 16;
 
 fn const_value(e: &CExpr) -> Option<u64> {
     match e {

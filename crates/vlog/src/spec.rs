@@ -20,11 +20,7 @@
 //! once per *key* instead of once per run, with bit-identical results:
 //! a restored value is byte-for-byte the value re-evaluation would have
 //! produced, because its inputs (the key) have not changed.
-//!
-//! [`specialization_report`] exposes the classification for tests,
-//! diagnostics and benchmarks.
 
-use crate::tape::VlogTape;
 use hls_core::KeyBits;
 
 /// Cached key-constant wire values for one working key, held by
@@ -49,22 +45,5 @@ impl KeyConstCache {
     /// The cached values, parallel to `VlogTape::key_const_wires`.
     pub(crate) fn vals(&self) -> &[u64] {
         &self.vals
-    }
-}
-
-/// How much of a tape's wire graph specializes at bind time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpecReport {
-    /// Wires evaluated once per run (key- or argument-dependent only).
-    pub run_const_wires: usize,
-    /// The key-only subset, cached across runs under an unchanged key.
-    pub key_const_wires: usize,
-}
-
-/// Reports the bind-time specialization classification of `tape`.
-pub fn specialization_report(tape: &VlogTape) -> SpecReport {
-    SpecReport {
-        run_const_wires: tape.run_const_wire_count(),
-        key_const_wires: tape.key_const_wires.len(),
     }
 }

@@ -40,7 +40,8 @@ use crate::ast;
 use crate::sim::{extend, mask, to_signed, CExpr, CStmt, SigKind, VlogError, VlogSim};
 use hls_core::KeyBits;
 use sim_core::{OutputImage, SimError, SimOptions, SimResult, SimStats, TestCase};
-use std::collections::BTreeMap;
+use std::borrow::Borrow;
+use std::collections::{BTreeMap, BTreeSet};
 
 fn err<T>(msg: impl Into<String>) -> Result<T, VlogError> {
     Err(VlogError { msg: msg.into() })
@@ -299,11 +300,6 @@ impl VlogTape {
     /// Declared width of each datapath register (`r{i}` in index order).
     pub fn reg_widths(&self) -> &[u32] {
         &self.reg_widths
-    }
-
-    /// Number of run-constant wires (evaluated once per run).
-    pub(crate) fn run_const_wire_count(&self) -> usize {
-        self.run_const_wires.len()
     }
 
     /// A fresh batch runner borrowing this tape.
@@ -1314,8 +1310,8 @@ impl<'a> TapeCompiler<'a> {
     /// value's final op is the tape's last, the commit rides on it; a
     /// direct operand gets one `Copy`.
     fn commit_assign(&mut self, e: &CExpr, target_width: u32, dst: u32) {
-        let w = target_width.max(self.sim.self_width(e));
-        let idx = self.expr(e, w, self.sim.self_signed(e));
+        let w = target_width.max(e.self_width());
+        let idx = self.expr(e, w, e.self_signed());
         // The commit may ride on the tape's last op only when that op
         // actually *produced* `idx` — i.e. `idx` is a scratch slot (a
         // direct signal/pool operand emits no op, and the incidental
@@ -1336,8 +1332,8 @@ impl<'a> TapeCompiler<'a> {
     /// Evaluates `e` in assignment context into a readable value-array
     /// index (for memory-write data).
     fn value_at(&mut self, e: &CExpr, target_width: u32) -> u32 {
-        let w = target_width.max(self.sim.self_width(e));
-        let idx = self.expr(e, w, self.sim.self_signed(e));
+        let w = target_width.max(e.self_width());
+        let idx = self.expr(e, w, e.self_signed());
         if w > target_width {
             let dst = self.alloc();
             self.emit(Code::Copy, dst, idx, 0, mask(target_width));
@@ -1350,7 +1346,7 @@ impl<'a> TapeCompiler<'a> {
     /// Emits self-determined evaluation (conditions, indices, case
     /// subjects).
     fn expr_self(&mut self, e: &CExpr) -> u32 {
-        self.expr(e, self.sim.self_width(e), self.sim.self_signed(e))
+        self.expr(e, e.self_width(), e.self_signed())
     }
 
     /// Returns a value-array index holding `eval(e, st, w, s)`, emitting
@@ -1362,7 +1358,6 @@ impl<'a> TapeCompiler<'a> {
         use ast::BinOp as B;
         use ast::UnOp as U;
         let sim = self.sim;
-        let n = sim.sigs.len() as u32;
         let sp0 = self.sp;
         match e {
             CExpr::Const { value, width, signed, unsz } => {
@@ -1374,15 +1369,7 @@ impl<'a> TapeCompiler<'a> {
                 // `extend(read, width, w, false)`: values are stored
                 // masked, so only a narrowing context needs a mask op —
                 // otherwise the signal's array entry is the operand.
-                let src = match sim.sigs[*id].kind {
-                    SigKind::Wire(_) => {
-                        if !self.run_const[*id] {
-                            self.emit(Code::Ensure, u32::MAX, 0, *id as u32, 0);
-                        }
-                        n + *id as u32
-                    }
-                    _ => *id as u32,
-                };
+                let src = self.sig_src(*id);
                 if w < *width {
                     let dst = self.alloc();
                     self.emit(Code::Copy, dst, src, 0, mask(w));
@@ -1398,15 +1385,7 @@ impl<'a> TapeCompiler<'a> {
                 if self.is_wide(*id) {
                     self.emit(Code::SelBitWide, dst, i, *id as u32, 0);
                 } else {
-                    let src = match sim.sigs[*id].kind {
-                        SigKind::Wire(_) => {
-                            if !self.run_const[*id] {
-                                self.emit(Code::Ensure, u32::MAX, 0, *id as u32, 0);
-                            }
-                            n + *id as u32
-                        }
-                        _ => *id as u32,
-                    };
+                    let src = self.sig_src(*id);
                     self.emit(Code::SelBit, dst, i, src, sim.sigs[*id].width as u64);
                 }
                 dst
@@ -1428,15 +1407,7 @@ impl<'a> TapeCompiler<'a> {
                 } else if *lo >= 64 {
                     self.pool_idx(0)
                 } else {
-                    let src = match sim.sigs[*id].kind {
-                        SigKind::Wire(_) => {
-                            if !self.run_const[*id] {
-                                self.emit(Code::Ensure, u32::MAX, 0, *id as u32, 0);
-                            }
-                            n + *id as u32
-                        }
-                        _ => *id as u32,
-                    };
+                    let src = self.sig_src(*id);
                     let dst = self.alloc();
                     self.emit(Code::Part, dst, *lo, src, m);
                     dst
@@ -1494,8 +1465,8 @@ impl<'a> TapeCompiler<'a> {
                     dst
                 }
                 B::Eq | B::Ne | B::Lt | B::Le | B::Gt | B::Ge => {
-                    let cw = sim.self_width(a).max(sim.self_width(b));
-                    let cs = sim.self_signed(a) && sim.self_signed(b);
+                    let cw = a.self_width().max(b.self_width());
+                    let cs = a.self_signed() && b.self_signed();
                     let va = self.expr(a, cw, cs);
                     let vb = self.expr(b, cw, cs);
                     self.sp = sp0;
@@ -1538,8 +1509,8 @@ impl<'a> TapeCompiler<'a> {
                 dst
             }
             CExpr::Signed(a) => {
-                let aw = sim.self_width(a);
-                let va = self.expr(a, aw, sim.self_signed(a));
+                let aw = a.self_width();
+                let va = self.expr(a, aw, a.self_signed());
                 if s && w > aw {
                     self.sp = sp0;
                     let dst = self.alloc();
@@ -1556,17 +1527,17 @@ impl<'a> TapeCompiler<'a> {
                 }
             }
             CExpr::Concat(parts) => {
-                let total: u32 = parts.iter().map(|p| sim.self_width(p)).sum();
+                let total: u32 = parts.iter().map(|p| p.self_width()).sum();
                 let mut acc: Option<u32> = None;
                 for p in parts {
-                    let pw = sim.self_width(p);
+                    let pw = p.self_width();
                     // A leading all-zero constant part (the emitter's
                     // `{N'd0, x}` zero-pad idiom) contributes no bits:
                     // `(0 << pw) | v` is `v`.
                     if acc.is_none() && matches!(p, CExpr::Const { value: 0, .. }) {
                         continue;
                     }
-                    let vp = self.expr(p, pw, sim.self_signed(p));
+                    let vp = self.expr(p, pw, p.self_signed());
                     acc = Some(match acc {
                         None => vp,
                         Some(prev) => {
@@ -1596,10 +1567,10 @@ impl<'a> TapeCompiler<'a> {
                 }
             }
             CExpr::Repeat { n: reps, a } => {
-                let aw = sim.self_width(a);
+                let aw = a.self_width();
                 // Self-determined operand values are already masked to
                 // their width — the repeated unit needs no extra mask.
-                let unit = self.expr(a, aw, sim.self_signed(a));
+                let unit = self.expr(a, aw, a.self_signed());
                 let mut acc = None;
                 for _ in 0..*reps {
                     acc = Some(match acc {
@@ -1629,6 +1600,20 @@ impl<'a> TapeCompiler<'a> {
         }
     }
 
+    /// The value-array index holding signal `id`'s current value: a wire
+    /// reads its slot, freshened first unless it is run-constant.
+    fn sig_src(&mut self, id: usize) -> u32 {
+        match self.sim.sigs[id].kind {
+            SigKind::Wire(_) => {
+                if !self.run_const[id] {
+                    self.emit(Code::Ensure, u32::MAX, 0, id as u32, 0);
+                }
+                (self.sim.sigs.len() + id) as u32
+            }
+            _ => id as u32,
+        }
+    }
+
     fn is_wide(&self, id: usize) -> bool {
         // Only the working key ever lands in the tree backend's wide-map
         // (it is the only input the emitter declares wider than 64
@@ -1638,11 +1623,7 @@ impl<'a> TapeCompiler<'a> {
 
     fn stmt(&mut self, s: &CStmt) {
         match s {
-            CStmt::Block(body) => {
-                for s in &merge_cases(body) {
-                    self.stmt(s);
-                }
-            }
+            CStmt::Block(body) => self.seq(body),
             CStmt::If { cond, then_s, else_s } => {
                 self.sp = self.scratch_base;
                 let c = self.expr_self(cond);
@@ -1661,67 +1642,7 @@ impl<'a> TapeCompiler<'a> {
                 }
             }
             CStmt::Case { subject, arms, map, default } => {
-                self.sp = self.scratch_base;
-                // A run-stable subject (TAO's variant selects read
-                // working-key slices) resolves its dispatch once per
-                // run; later cycles jump straight from the cache.
-                let cached = self.is_run_const(subject);
-                let cache_idx = if cached {
-                    let i = self.n_caches;
-                    self.n_caches += 1;
-                    self.emit(Code::JmpCached, 0, 0, i, 0);
-                    Some(i)
-                } else {
-                    None
-                };
-                let subj = self.expr_self(subject);
-                let sw = self.emit(Code::Jmp, 0, subj, 0, 0); // patched below
-                let mut arm_pcs = Vec::with_capacity(arms.len());
-                let mut arm_jends = Vec::with_capacity(arms.len());
-                for (i, arm) in arms.iter().enumerate() {
-                    arm_pcs.push(self.ops.len() as u32);
-                    self.stmt(arm);
-                    // The final arm falls through to the end of the case.
-                    if i + 1 < arms.len() {
-                        arm_jends.push(self.emit(Code::Jmp, 0, 0, 0, 0));
-                    }
-                }
-                let end = self.ops.len() as u64;
-                for j in arm_jends {
-                    self.ops[j].imm = end;
-                }
-                let default_pc = match default {
-                    Some(d) => arm_pcs[*d],
-                    None => end as u32,
-                };
-                // Build the dispatch table from the first-label-wins map.
-                let entries: Vec<(u64, u32)> =
-                    map.iter().map(|(&v, &arm)| (v, arm_pcs[arm])).collect();
-                let span = match (entries.first(), entries.last()) {
-                    (Some(&(lo, _)), Some(&(hi, _))) => hi - lo,
-                    _ => 0,
-                };
-                let (code, table_idx) = if !entries.is_empty() && span < 4096 {
-                    let base = entries[0].0;
-                    let mut targets = vec![default_pc; span as usize + 1];
-                    for &(v, pc) in &entries {
-                        targets[(v - base) as usize] = pc;
-                    }
-                    self.dense.push(DenseTable { base, targets, default: default_pc });
-                    let code = if cached { Code::SwitchDenseStore } else { Code::SwitchDense };
-                    (code, self.dense.len() - 1)
-                } else {
-                    self.sparse.push(SparseTable { entries, default: default_pc });
-                    let code = if cached { Code::SwitchSparseStore } else { Code::SwitchSparse };
-                    (code, self.sparse.len() - 1)
-                };
-                self.ops[sw] = Op {
-                    code,
-                    dst: 0,
-                    a: subj,
-                    b: table_idx as u32,
-                    imm: cache_idx.unwrap_or(0) as u64,
-                };
+                self.case(subject, arms.len(), |c, i| c.stmt(&arms[i]), map, *default);
             }
             CStmt::AssignSig { id, width, value } => {
                 self.sp = self.scratch_base;
@@ -1736,82 +1657,139 @@ impl<'a> TapeCompiler<'a> {
             CStmt::Null => {}
         }
     }
-}
 
-/// Merges maximal runs of consecutive `case` statements over the *same*
-/// subject expression into one dispatch. The emitter produces one
-/// variant-select `case` per micro-op, all dispatching on the state's
-/// working-key slice; because every expression is pure and every write
-/// is nonblocking (evaluation never observes this cycle's commits),
-/// executing `armA(v); armB(v)` under one dispatch is observationally
-/// identical to two dispatches of the same `v` — and saves a cached
-/// jump + a trailing jump per merged case per cycle.
-fn merge_cases(stmts: &[CStmt]) -> Vec<CStmt> {
-    let subject_key = |s: &CStmt| match s {
-        CStmt::Case { subject, .. } => Some(format!("{subject:?}")),
-        _ => None,
-    };
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < stmts.len() {
-        if let Some(key) = subject_key(&stmts[i]) {
-            let mut j = i + 1;
-            while j < stmts.len() && subject_key(&stmts[j]).as_ref() == Some(&key) {
-                j += 1;
+    /// Lowers a statement sequence, merging each maximal run of
+    /// consecutive `case` statements over the *same* subject expression
+    /// into one dispatch. The emitter produces one variant-select `case`
+    /// per micro-op, all dispatching on the state's working-key slice;
+    /// because every expression is pure and every write is nonblocking
+    /// (evaluation never observes this cycle's commits), executing
+    /// `armA(v); armB(v)` under one dispatch is observationally identical
+    /// to two dispatches of the same `v` — and saves a cached jump + a
+    /// trailing jump per merged case per cycle.
+    fn seq<S: Borrow<CStmt>>(&mut self, stmts: &[S]) {
+        let mut i = 0;
+        while i < stmts.len() {
+            if let CStmt::Case { subject, .. } = stmts[i].borrow() {
+                let same =
+                    |s: &S| matches!(s.borrow(), CStmt::Case { subject: t, .. } if t == subject);
+                let run = 1 + stmts[i + 1..].iter().take_while(|s| same(s)).count();
+                if run >= 2 {
+                    self.merged_case(subject, &stmts[i..i + run]);
+                    i += run;
+                    continue;
+                }
             }
-            if j - i >= 2 {
-                out.push(merge_case_run(&stmts[i..j]));
-                i = j;
-                continue;
+            self.stmt(stmts[i].borrow());
+            i += 1;
+        }
+    }
+
+    /// Lowers a run of same-subject cases as one dispatch: for every label
+    /// in the union, the merged arm executes each case's arm for that
+    /// label (its explicit arm, else its default, else nothing), in the
+    /// original statement order; likewise for the merged default. Merged
+    /// arms borrow the original statements.
+    fn merged_case<S: Borrow<CStmt>>(&mut self, subject: &CExpr, cases: &[S]) {
+        static NULL: CStmt = CStmt::Null;
+        type CasePart<'a> = (&'a [CStmt], &'a BTreeMap<u64, usize>, Option<usize>);
+        let parts: Vec<CasePart> = cases
+            .iter()
+            .map(|c| match c.borrow() {
+                CStmt::Case { arms, map, default, .. } => (&arms[..], map, *default),
+                _ => unreachable!("merged_case only receives cases"),
+            })
+            .collect();
+        fn arm_for<'a>(&(arms, map, default): &CasePart<'a>, v: u64) -> &'a CStmt {
+            match (map.get(&v), default) {
+                (Some(&i), _) | (None, Some(i)) => &arms[i],
+                (None, None) => &NULL,
             }
         }
-        out.push(stmts[i].clone());
-        i += 1;
+        let labels: BTreeSet<u64> =
+            parts.iter().flat_map(|(_, map, _)| map.keys().copied()).collect();
+        let mut arms: Vec<Vec<&CStmt>> = Vec::with_capacity(labels.len() + 1);
+        let mut map = BTreeMap::new();
+        for &v in &labels {
+            map.insert(v, arms.len());
+            arms.push(parts.iter().map(|p| arm_for(p, v)).collect());
+        }
+        let default = if parts.iter().any(|(_, _, d)| d.is_some()) {
+            arms.push(parts.iter().map(|&(arms, _, d)| d.map_or(&NULL, |i| &arms[i])).collect());
+            Some(arms.len() - 1)
+        } else {
+            None
+        };
+        self.case(subject, arms.len(), |c, i| c.seq(&arms[i]), &map, default);
     }
-    out
-}
 
-/// Builds the single merged `case` for a run of same-subject cases: for
-/// every label in the union, the merged arm executes each case's arm
-/// for that label (its explicit arm, else its default, else nothing), in
-/// the original statement order; likewise for the merged default.
-fn merge_case_run(cases: &[CStmt]) -> CStmt {
-    type CasePart<'a> = (&'a CExpr, &'a Vec<CStmt>, &'a BTreeMap<u64, usize>, &'a Option<usize>);
-    let parts: Vec<CasePart> = cases
-        .iter()
-        .map(|c| match c {
-            CStmt::Case { subject, arms, map, default } => (subject, arms, map, default),
-            _ => unreachable!("merge_case_run only receives cases"),
-        })
-        .collect();
-    let arm_for = |(_, arms, map, default): &CasePart, v: u64| match (map.get(&v), default) {
-        (Some(&i), _) => arms[i].clone(),
-        (None, Some(d)) => arms[*d].clone(),
-        (None, None) => CStmt::Null,
-    };
-    let labels: std::collections::BTreeSet<u64> =
-        parts.iter().flat_map(|(_, _, map, _)| map.keys().copied()).collect();
-    let mut arms = Vec::new();
-    let mut map = BTreeMap::new();
-    for &v in &labels {
-        map.insert(v, arms.len());
-        arms.push(CStmt::Block(parts.iter().map(|p| arm_for(p, v)).collect()));
+    /// Lowers a `case` dispatch over `subject` whose `n_arms` arm bodies
+    /// `arm(self, i)` lowers; `map` takes label values to arm indices and
+    /// `default` is the default arm's index.
+    fn case(
+        &mut self,
+        subject: &CExpr,
+        n_arms: usize,
+        mut arm: impl FnMut(&mut Self, usize),
+        map: &BTreeMap<u64, usize>,
+        default: Option<usize>,
+    ) {
+        self.sp = self.scratch_base;
+        // A run-stable subject (TAO's variant selects read
+        // working-key slices) resolves its dispatch once per
+        // run; later cycles jump straight from the cache.
+        let cached = self.is_run_const(subject);
+        let cache_idx = if cached {
+            let i = self.n_caches;
+            self.n_caches += 1;
+            self.emit(Code::JmpCached, 0, 0, i, 0);
+            Some(i)
+        } else {
+            None
+        };
+        let subj = self.expr_self(subject);
+        let sw = self.emit(Code::Jmp, 0, subj, 0, 0); // patched below
+        let mut arm_pcs = Vec::with_capacity(n_arms);
+        let mut arm_jends = Vec::with_capacity(n_arms);
+        for i in 0..n_arms {
+            arm_pcs.push(self.ops.len() as u32);
+            arm(self, i);
+            // The final arm falls through to the end of the case.
+            if i + 1 < n_arms {
+                arm_jends.push(self.emit(Code::Jmp, 0, 0, 0, 0));
+            }
+        }
+        let end = self.ops.len() as u64;
+        for j in arm_jends {
+            self.ops[j].imm = end;
+        }
+        let default_pc = match default {
+            Some(d) => arm_pcs[d],
+            None => end as u32,
+        };
+        // Build the dispatch table from the first-label-wins map.
+        let entries: Vec<(u64, u32)> = map.iter().map(|(&v, &arm)| (v, arm_pcs[arm])).collect();
+        let span = match (entries.first(), entries.last()) {
+            (Some(&(lo, _)), Some(&(hi, _))) => hi - lo,
+            _ => 0,
+        };
+        let (code, table_idx) = if !entries.is_empty() && span < 4096 {
+            let base = entries[0].0;
+            let mut targets = vec![default_pc; span as usize + 1];
+            for &(v, pc) in &entries {
+                targets[(v - base) as usize] = pc;
+            }
+            self.dense.push(DenseTable { base, targets, default: default_pc });
+            let code = if cached { Code::SwitchDenseStore } else { Code::SwitchDense };
+            (code, self.dense.len() - 1)
+        } else {
+            self.sparse.push(SparseTable { entries, default: default_pc });
+            let code = if cached { Code::SwitchSparseStore } else { Code::SwitchSparse };
+            (code, self.sparse.len() - 1)
+        };
+        self.ops[sw] =
+            Op { code, dst: 0, a: subj, b: table_idx as u32, imm: cache_idx.unwrap_or(0) as u64 };
     }
-    let default = if parts.iter().any(|(_, _, _, d)| d.is_some()) {
-        arms.push(CStmt::Block(
-            parts
-                .iter()
-                .map(|(_, arms_p, _, d)| match d {
-                    Some(i) => arms_p[*i].clone(),
-                    None => CStmt::Null,
-                })
-                .collect(),
-        ));
-        Some(arms.len() - 1)
-    } else {
-        None
-    };
-    CStmt::Case { subject: parts[0].0.clone(), arms, map, default }
 }
 
 /// Final landing pc of a jump to `t`: unconditional jump chains
@@ -1866,20 +1844,14 @@ fn thread_jumps(seg: &mut [Op], dense: &mut [DenseTable], sparse: &mut [SparseTa
 /// by construction — `JmpZ` only follows a freshly evaluated condition
 /// root — but the operand check keeps this local and safe).
 fn fuse_cmp_branches(seg: &mut [Op], dense: &[DenseTable], sparse: &[SparseTable]) {
-    use std::collections::BTreeSet;
-    let mut targets: BTreeSet<u32> = BTreeSet::new();
-    for op in seg.iter() {
-        if matches!(op.code, Code::Jmp | Code::JmpZ) {
-            targets.insert(op.imm as u32);
-        }
-    }
-    for t in dense.iter() {
-        targets.extend(t.targets.iter().copied());
-        targets.insert(t.default);
-    }
-    for t in sparse.iter() {
-        targets.extend(t.entries.iter().map(|&(_, pc)| pc));
-        targets.insert(t.default);
+    // Jump targets are pcs in `0..=seg.len()`.
+    let mut is_target = vec![false; seg.len() + 1];
+    let jumps = seg.iter().filter(|op| matches!(op.code, Code::Jmp | Code::JmpZ));
+    let tables = dense.iter().flat_map(|t| t.targets.iter().chain([&t.default]));
+    let sparse_tables =
+        sparse.iter().flat_map(|t| t.entries.iter().map(|(_, pc)| pc).chain([&t.default]));
+    for pc in jumps.map(|op| op.imm as u32).chain(tables.chain(sparse_tables).copied()) {
+        is_target[pc as usize] = true;
     }
     for i in 0..seg.len().saturating_sub(1) {
         let fused = match seg[i].code {
@@ -1901,7 +1873,7 @@ fn fuse_cmp_branches(seg: &mut [Op], dense: &[DenseTable], sparse: &[SparseTable
         if next.code == Code::JmpZ
             && next.a == seg[i].dst
             && seg[i].dst & COMMIT == 0
-            && !targets.contains(&(i as u32 + 1))
+            && !is_target[i + 1]
         {
             seg[i].code = fused;
         }
@@ -2205,9 +2177,8 @@ mod tests {
             endmodule
         "#;
         let tape = VlogTape::new(src).unwrap();
-        let report = crate::spec::specialization_report(&tape);
-        assert_eq!(report.key_const_wires, 2, "const0 and const1 are key-only");
-        assert_eq!(report.run_const_wires, 3, "mix0 is run-constant but arg-dependent");
+        assert_eq!(tape.key_const_wires.len(), 2, "const0 and const1 are key-only");
+        assert_eq!(tape.run_const_wires.len(), 3, "mix0 is run-constant but arg-dependent");
 
         let mut ka = KeyBits::zero(16);
         ka.set_bit(3, true);

@@ -8,6 +8,10 @@
 //! value, cycle count, memories, registers, timeout flag), same error,
 //! including `CycleLimit` and snapshot-on-timeout behaviour — and under
 //! the correct key all must reproduce the IR interpreter's outputs.
+//!
+//! The Verilog front end must also survive hostile text: seeded byte and
+//! token mutations of emitted paper-kernel texts, and declarations sized
+//! to overflow it, give an `Ok` or an error, never a panic.
 
 mod common;
 
@@ -15,6 +19,7 @@ use common::{gen_program, run_golden};
 use hls_core::{verilog, KeyBits};
 use proptest::prelude::*;
 use rtl::{simulate, CompiledFsmd, SimError, SimOptions, SimResult, SpecFsmd};
+use std::sync::OnceLock;
 use vlog::{VlogSim, VlogTape};
 
 fn arg_sets() -> Vec<[u64; 3]> {
@@ -221,5 +226,185 @@ proptest! {
         ];
         prop_assert!(matches!(errs[0], SimError::KeyWidthMismatch { .. }));
         prop_assert!(errs.iter().all(|e| e == &errs[0]), "{errs:?}");
+    }
+}
+
+/// Emitted texts of two locked paper kernels (every TAO technique), the
+/// seeds of the mutation property; built once per test binary.
+fn paper_texts() -> &'static [String] {
+    static TEXTS: OnceLock<Vec<String>> = OnceLock::new();
+    TEXTS.get_or_init(|| {
+        ["gsm", "adpcm"]
+            .iter()
+            .map(|name| {
+                let b = benchmarks::by_name(name).expect("suite kernel");
+                let module = b.compile().expect("paper kernel compiles");
+                let design =
+                    tao::lock(&module, b.top, &locking_key(7), &tao::TaoOptions::default())
+                        .expect("paper kernel locks");
+                verilog::emit(&design.fsmd)
+            })
+            .collect()
+    })
+}
+
+/// SplitMix64, so a failing case replays from its seed alone.
+struct Mutator(u64);
+
+impl Mutator {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n.max(1) as u64) as usize
+    }
+
+    /// One byte-level edit: overwrite, insert or delete a byte, or
+    /// duplicate or drop a short range. Inserted bytes are printable ASCII
+    /// or a newline, so the text stays UTF-8 and reaches the parser.
+    fn mutate_bytes(&mut self, text: &mut Vec<u8>) {
+        let at = self.below(text.len());
+        let byte = |r: &mut Mutator| match r.below(96) {
+            95 => b'\n',
+            k => b' ' + k as u8,
+        };
+        match self.below(5) {
+            0 => text[at] = byte(self),
+            1 => text.insert(at, byte(self)),
+            2 => {
+                text.remove(at);
+            }
+            3 => {
+                let end = (at + 1 + self.below(24)).min(text.len());
+                let dup = text[at..end].to_vec();
+                text.splice(at..at, dup);
+            }
+            _ => {
+                let end = (at + 1 + self.below(24)).min(text.len());
+                text.drain(at..end);
+            }
+        }
+    }
+
+    /// One token-level edit: delete, duplicate, swap or replace a token
+    /// (a run of identifier characters or one punctuation byte) — numbers
+    /// are sometimes replaced by extreme values that overflow widths,
+    /// lengths and counts.
+    fn mutate_tokens(&mut self, text: &mut Vec<u8>) {
+        const EXTREMES: &[&str] = &[
+            "0",
+            "64",
+            "65536",
+            "4294967295",
+            "4294967296",
+            "18446744073709551615",
+            "99999999999999999999",
+            "64'hffffffffffffffff",
+            "0'd0",
+        ];
+        let word = |c: u8| c.is_ascii_alphanumeric() || c == b'_' || c == b'\'';
+        let mut toks = Vec::new();
+        let mut i = 0;
+        while i < text.len() {
+            let start = i;
+            if word(text[i]) {
+                while i < text.len() && word(text[i]) {
+                    i += 1;
+                }
+            } else {
+                i += 1;
+            }
+            if !text[start].is_ascii_whitespace() {
+                toks.push(start..i);
+            }
+        }
+        if toks.len() < 2 {
+            return;
+        }
+        let a = toks[self.below(toks.len())].clone();
+        let b = toks[self.below(toks.len())].clone();
+        let (ta, tb) = (text[a.clone()].to_vec(), text[b.clone()].to_vec());
+        match self.below(5) {
+            0 => {
+                text.drain(a);
+            }
+            1 => {
+                text.splice(a.start..a.start, ta);
+            }
+            2 if a.end <= b.start => {
+                text.splice(b, ta);
+                text.splice(a, tb);
+            }
+            3 => {
+                text.splice(a, tb);
+            }
+            _ => {
+                let n = EXTREMES[self.below(EXTREMES.len())];
+                let num =
+                    toks.iter().filter(|t| text[t.start].is_ascii_digit()).nth(self.below(64));
+                let at = num.cloned().unwrap_or(a);
+                text.splice(at, n.bytes());
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, .. ProptestConfig::default() })]
+
+    #[test]
+    fn mutated_texts_never_panic_the_front_end(seed in any::<u64>()) {
+        let mut r = Mutator(seed);
+        let texts = paper_texts();
+        for _ in 0..3 {
+            let mut text = texts[r.below(texts.len())].clone().into_bytes();
+            for _ in 0..1 + r.below(3) {
+                if r.below(2) == 0 {
+                    r.mutate_bytes(&mut text);
+                } else {
+                    r.mutate_tokens(&mut text);
+                }
+            }
+            let text = String::from_utf8(text).expect("mutations keep the text ASCII");
+            // `Ok` or `Err` are both fine; a panic fails the property.
+            if let Ok(sim) = VlogSim::new(&text) {
+                let _ = VlogTape::compile(&sim);
+            }
+        }
+    }
+}
+
+/// A valid module but for `decl` (one more declaration) and `rhs` (the
+/// value `r0` takes every cycle).
+fn with_decl(decl: &str, rhs: &str) -> String {
+    format!(
+        "module t (\n  input wire clk,\n  input wire rst,\n  input wire start,\n  \
+         output reg done\n);\n  reg [31:0] r0;\n  {decl}\n  always @(posedge clk) begin\n    \
+         r0 <= {rhs};\n    done <= 1'b1;\n  end\nendmodule\n"
+    )
+}
+
+#[test]
+fn hostile_sizes_are_errors_not_overflows() {
+    assert!(VlogSim::new(&with_decl("reg [31:0] m [0:255];", "{32{r0[0]}}")).is_ok());
+    let cases = [
+        (with_decl("reg [4294967295:0] a;", "r0"), "width cap"),
+        (with_decl("reg [31:0] m [0:18446744073709551615];", "r0"), "element cap"),
+        (with_decl("", "r0[4294967295:0]"), "bad part-select"),
+        (with_decl("", "{4294967295{r0}}"), "replication count"),
+        // Used to be truncated to a 1-bit register.
+        (with_decl("reg [4294967296:0] a;", "r0"), "width cap"),
+        // Used to elaborate, leaving a 32 GB memory to the first run.
+        (with_decl("reg [31:0] m [0:4000000000];", "r0"), "element cap"),
+    ];
+    for (text, why) in &cases {
+        let e = VlogSim::new(text).expect_err(text);
+        assert!(e.msg.contains(why), "`{e}` should mention {why}:\n{text}");
+        assert!(VlogTape::new(text).is_err(), "{text}");
     }
 }
