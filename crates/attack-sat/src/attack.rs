@@ -210,7 +210,9 @@ pub struct SatAttackOutcome {
     pub propagations: u64,
     /// CNF variables at the end of the attack.
     pub vars: usize,
-    /// CNF clauses at the end of the attack.
+    /// CNF clauses at the end of the attack: the encoded miter's clauses
+    /// plus the learnt clauses the solver still holds then, so the count
+    /// depends on the search, not only on the encoding.
     pub clauses: usize,
     /// Final unroll depth k reached by the lazy growth (equals
     /// [`SatAttackOptions::unroll_cycles`] only when the attack had to

@@ -1,12 +1,38 @@
 //! The CDCL solver core.
 //!
-//! A MiniSat-lineage solver: two-watched-literal propagation, VSIDS-style
-//! dynamic variable activity with phase saving, first-UIP conflict-clause
-//! learning, Luby restarts, activity-driven learnt-clause reduction, and
-//! incremental solving under assumptions. Everything lives in safe `std`
-//! Rust; the solver owns its clause arena and can be queried for a model
-//! after every satisfiable call and extended with new variables and
-//! clauses between calls.
+//! A MiniSat-lineage solver: two-watched-literal propagation with blocker
+//! literals, VSIDS-style dynamic variable activity with phase saving,
+//! first-UIP conflict-clause learning with recursive minimization, Luby
+//! restarts, glue- and activity-driven learnt-clause reduction, and
+//! incremental solving under assumptions, all in safe `std` Rust. The
+//! solver can be queried for a model after every satisfiable call and
+//! extended with new variables and clauses between calls.
+//!
+//! # Clause store
+//!
+//! A binary clause `(a ∨ b)` never enters the clause store: it lives as the
+//! implications `¬a → b` and `¬b → a` in per-literal lists that propagate
+//! before any longer clause. Every longer clause lives in one flat `u32`
+//! arena as a header word followed by its literals, the layout of
+//! MiniSat's clause allocator, so a watch visit that gets past its blocker
+//! reads the length and the literals from one cache line:
+//!
+//! ```text
+//! [len << 2 | flags] [lit 0] [lit 1] … [lit len-1]  ([glue] [activity lo] [activity hi])
+//! ```
+//!
+//! A clause is named by the offset of its header (its *cref*); watch
+//! entries and reasons hold crefs, which stay below the tag bit that marks
+//! a binary reason. A learnt clause carries its glue and its `f64`
+//! activity after the literals. Literals 0 and 1 are the watched pair, and
+//! a clause that is the reason of an assignment keeps the implied literal
+//! in slot 0, so `reason[var(lit 0)] == cref` says whether it is locked.
+//!
+//! `reduce_db` walks the arena in allocation order and evicts half of the
+//! unlocked learnt clauses with glue above 2, ordered by a stable (glue
+//! descending, activity ascending) sort. Survivors slide down in place, a
+//! locked clause's reason follows it to its new offset, and every watch
+//! list is rebuilt in clause order.
 
 use std::fmt;
 
@@ -146,73 +172,75 @@ impl Default for SolverConfig {
     }
 }
 
-/// One watch-list entry: the watching clause plus a *blocker* literal —
-/// some other literal of the clause, checked before the clause itself is
-/// touched. When the blocker is already true the clause is satisfied and
-/// the whole arena access is skipped, which is the common case on the
-/// miter instances this solver feeds on.
+/// One watch-list entry: the arena offset of the watching clause plus a
+/// *blocker* literal — some other literal of the clause, checked before
+/// the clause itself is touched. When the blocker is already true the
+/// clause is satisfied and the arena is not read at all, which is the
+/// common case on the miter instances this solver feeds on.
 #[derive(Debug, Clone, Copy)]
 struct Watch {
     cref: u32,
     blocker: Lit,
 }
 
-/// Clause header into the flat literal arena. Clause literals live
-/// contiguously in `Solver::lit_arena` at `start..start + len`; keeping
-/// the header `Copy` and the literals out-of-line means watch traversal
-/// walks one cache-friendly array instead of chasing a heap `Vec` per
-/// clause.
-#[derive(Debug, Clone, Copy)]
-struct Clause {
-    start: u32,
-    len: u32,
-    learnt: bool,
-    activity: f64,
-    /// Literal block distance (glue) at learn time: the number of
-    /// distinct decision levels in the clause. Original clauses carry 0.
-    glue: u32,
+/// Header flag: a learnt clause, followed by its glue and activity.
+const LEARNT: u32 = 1;
+/// Header flag, set only inside `reduce_db`: the clause is evicted.
+const DROPPED: u32 = 2;
+/// Words a learnt clause carries after its literals.
+const LEARNT_EXTRA: usize = 3;
+
+/// The literal slots of the clause whose header is at `cref`.
+#[inline(always)]
+fn lits(arena: &[u32], cref: usize) -> std::ops::Range<usize> {
+    cref + 1..cref + 1 + (arena[cref] >> 2) as usize
 }
 
-impl Clause {
-    #[inline(always)]
-    fn range(&self) -> std::ops::Range<usize> {
-        self.start as usize..(self.start + self.len) as usize
+/// The offset of the clause allocated after the one at `cref`.
+fn next_clause(arena: &[u32], cref: usize) -> usize {
+    let end = lits(arena, cref).end;
+    if arena[cref] & LEARNT != 0 {
+        end + LEARNT_EXTRA
+    } else {
+        end
     }
+}
+
+/// The `f64` activity stored in the two words at `at`, one past a learnt
+/// clause's glue.
+fn read_activity(arena: &[u32], at: usize) -> f64 {
+    f64::from_bits(u64::from(arena[at]) | u64::from(arena[at + 1]) << 32)
+}
+
+fn write_activity(arena: &mut [u32], at: usize, a: f64) {
+    let bits = a.to_bits();
+    arena[at] = bits as u32;
+    arena[at + 1] = (bits >> 32) as u32;
 }
 
 const UNDEF: u8 = 0;
 const TRUE: u8 = 1;
+const FALSE: u8 = 2;
 
 /// Literal truth value against a raw assignment slice — a free function
 /// so `propagate` can keep the clause arena mutably borrowed while it
 /// reads assignments.
 #[inline(always)]
 fn lv(assign: &[u8], l: Lit) -> u8 {
-    match assign[l.var().index()] {
-        UNDEF => UNDEF,
-        TRUE => {
-            if l.is_neg() {
-                FALSE
-            } else {
-                TRUE
-            }
-        }
-        _ => {
-            if l.is_neg() {
-                TRUE
-            } else {
-                FALSE
-            }
-        }
+    let a = assign[l.var().index()];
+    // A negative literal swaps TRUE and FALSE (1 ^ 3 = 2, 2 ^ 3 = 1).
+    if a == UNDEF || !l.is_neg() {
+        a
+    } else {
+        a ^ (TRUE | FALSE)
     }
 }
-const FALSE: u8 = 2;
 
 const NO_REASON: u32 = u32::MAX;
 /// Tag bit marking a reason as a binary implication: the low bits hold
-/// the *other* literal of the binary clause instead of a clause index.
-/// `NO_REASON` (`u32::MAX`) also carries the tag, so always test for it
-/// first where both can occur.
+/// the *other* literal of the binary clause instead of a cref (crefs are
+/// asserted below it). `NO_REASON` (`u32::MAX`) also carries the tag, so
+/// always test for it first where both can occur.
 const BIN_TAG: u32 = 1 << 31;
 
 fn bin_reason(other: Lit) -> u32 {
@@ -220,7 +248,7 @@ fn bin_reason(other: Lit) -> u32 {
     BIN_TAG | other.0
 }
 
-/// A propagation conflict: either a long clause in the arena or a
+/// A propagation conflict: either a long clause (its arena offset) or a
 /// binary clause living in the implication lists.
 #[derive(Debug, Clone, Copy)]
 enum Conflict {
@@ -254,11 +282,9 @@ fn xorshift(s: &mut u64) -> u64 {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Solver {
-    clauses: Vec<Clause>,
-    /// Flat literal storage for every long clause, indexed by the
-    /// `start`/`len` of each [`Clause`] header. Compacted alongside the
-    /// headers in `reduce_db`.
-    lit_arena: Vec<Lit>,
+    /// Every clause of three or more literals, header and literals
+    /// inline (see the module docs), in allocation order.
+    arena: Vec<u32>,
     /// `watches[lit.code()]`: clauses currently watching `lit`, each
     /// with a blocker literal that short-circuits satisfied clauses.
     watches: Vec<Vec<Watch>>,
@@ -267,8 +293,8 @@ pub struct Solver {
     /// `¬b → a`, never in the clause arena, and is propagated before any
     /// long-clause watch traversal.
     bin_imps: Vec<Vec<Lit>>,
-    /// Number of binary clauses held in `bin_imps`.
-    n_bin: usize,
+    /// Clauses held: binary, long original, and long learnt not evicted.
+    n_clauses: usize,
     assign: Vec<u8>,
     /// Saved polarity per variable (phase saving).
     phase: Vec<bool>,
@@ -303,6 +329,12 @@ pub struct Solver {
     stats: SolverStats,
     /// Scratch for conflict analysis.
     seen: Vec<bool>,
+    /// Reused clause buffer: `add_clause` normalizes into it and
+    /// `analyze` builds the learnt clause in it.
+    lits_buf: Vec<Lit>,
+    /// `level_stamp[level]`: the conflict count of the last `analyze`
+    /// that met `level` while counting glue.
+    level_stamp: Vec<u64>,
     /// Scratch stacks for recursive learnt-clause minimization.
     min_stack: Vec<Lit>,
     min_clear: Vec<Lit>,
@@ -327,11 +359,10 @@ impl Solver {
     /// An empty solver.
     pub fn new() -> Solver {
         Solver {
-            clauses: Vec::new(),
-            lit_arena: Vec::new(),
+            arena: Vec::new(),
             watches: Vec::new(),
             bin_imps: Vec::new(),
-            n_bin: 0,
+            n_clauses: 0,
             assign: Vec::new(),
             phase: Vec::new(),
             level: Vec::new(),
@@ -352,6 +383,8 @@ impl Solver {
             next_ctrl: 0,
             stats: SolverStats::default(),
             seen: Vec::new(),
+            lits_buf: Vec::new(),
+            level_stamp: Vec::new(),
             min_stack: Vec::new(),
             min_clear: Vec::new(),
             next_reduce: 4000,
@@ -421,7 +454,7 @@ impl Solver {
 
     /// Number of clauses (original + binary + currently retained learnt).
     pub fn num_clauses(&self) -> usize {
-        self.clauses.len() + self.n_bin
+        self.n_clauses
     }
 
     /// Search statistics accumulated so far.
@@ -471,41 +504,38 @@ impl Solver {
         if !self.ok {
             return false;
         }
-        // Normalize: sort, dedup, drop root-false literals, detect
-        // tautologies and root-true literals.
-        let mut c: Vec<Lit> = lits.to_vec();
+        // Normalize in the reused buffer: sort, dedup, detect tautologies
+        // and root-true literals, drop root-false literals.
+        let mut c = std::mem::take(&mut self.lits_buf);
+        c.clear();
+        c.extend_from_slice(lits);
         c.sort_unstable();
         c.dedup();
-        let mut out: Vec<Lit> = Vec::with_capacity(c.len());
-        for (i, &l) in c.iter().enumerate() {
-            if i + 1 < c.len() && c[i + 1] == !l {
-                return true; // tautology (x ∨ ¬x)
-            }
-            match self.lit_value(l) {
-                TRUE => return true,
-                FALSE => {}
-                _ => out.push(l),
-            }
-        }
-        match out.len() {
+        let satisfied = c.windows(2).any(|w| w[1] == !w[0]) // (x ∨ ¬x)
+            || c.iter().any(|&l| self.lit_value(l) == TRUE);
+        c.retain(|&l| self.lit_value(l) == UNDEF);
+        let ok = match c.len() {
+            _ if satisfied => true,
             0 => {
                 self.ok = false;
                 false
             }
             1 => {
-                self.enqueue(out[0], NO_REASON);
+                self.enqueue(c[0], NO_REASON);
                 self.ok = self.propagate().is_none();
                 self.ok
             }
             2 => {
-                self.attach_binary(out[0], out[1]);
+                self.attach_binary(c[0], c[1]);
                 true
             }
             _ => {
-                self.attach(out, false, 0);
+                self.attach(&c, false, 0);
                 true
             }
-        }
+        };
+        self.lits_buf = c;
+        ok
     }
 
     /// Solves the current clause set with no assumptions.
@@ -529,11 +559,9 @@ impl Solver {
             let limit = luby(restart) * self.config.restart_base;
             match self.search(limit, assumptions, budget_end, step_end) {
                 Search::Sat => {
-                    for v in 0..self.num_vars() {
-                        self.phase[v] = self.assign[v] == TRUE;
-                    }
-                    // Leave the model readable but return to level 0 for
-                    // incremental reuse — `value` reads saved phases.
+                    // Every variable is assigned, and `enqueue` saved each
+                    // one's phase: the model stays readable through
+                    // `value` after the return to level 0.
                     self.cancel_until(0);
                     break SolveOutcome::Sat;
                 }
@@ -644,11 +672,12 @@ impl Solver {
                     self.ok = false;
                     return Search::Unsat;
                 }
-                let (learnt, bt, glue) = self.analyze(confl);
+                let (bt, glue) = self.analyze(confl);
                 // Never undo assumption decisions past where the learnt
                 // clause asserts; backtracking *through* assumptions is
                 // fine — the decision loop below re-applies them.
                 self.cancel_until(bt);
+                let learnt = std::mem::take(&mut self.lits_buf);
                 let asserting = learnt[0];
                 match learnt.len() {
                     1 => self.enqueue(asserting, NO_REASON),
@@ -660,10 +689,11 @@ impl Solver {
                         self.enqueue(asserting, bin_reason(learnt[1]));
                     }
                     _ => {
-                        let cref = self.attach(learnt, true, glue);
+                        let cref = self.attach(&learnt, true, glue);
                         self.enqueue(asserting, cref);
                     }
                 }
+                self.lits_buf = learnt;
                 self.decay_activities();
                 if self.stats.learnt as usize >= self.next_reduce {
                     self.reduce_db();
@@ -710,25 +740,10 @@ impl Solver {
     }
 
     fn lit_value(&self, l: Lit) -> u8 {
-        match self.assign[l.var().index()] {
-            UNDEF => UNDEF,
-            TRUE => {
-                if l.is_neg() {
-                    FALSE
-                } else {
-                    TRUE
-                }
-            }
-            _ => {
-                if l.is_neg() {
-                    TRUE
-                } else {
-                    FALSE
-                }
-            }
-        }
+        lv(&self.assign, l)
     }
 
+    #[inline(always)]
     fn enqueue(&mut self, l: Lit, reason: u32) {
         debug_assert_eq!(self.lit_value(l), UNDEF);
         let v = l.var().index();
@@ -768,7 +783,7 @@ impl Solver {
             let nb = self.bin_imps[p.code()].len();
             for i in 0..nb {
                 let q = self.bin_imps[p.code()][i];
-                match self.lit_value_raw(q) {
+                match lv(&self.assign, q) {
                     TRUE => {}
                     FALSE => return Some(Conflict::Bin(q, !p)),
                     _ => {
@@ -781,8 +796,7 @@ impl Solver {
             // Clauses watching ¬p must find a new watch or propagate.
             // The loop reads assignments through `lv` on the `assign`
             // field directly so the clause arena can stay mutably
-            // borrowed across the watch search — one bounds-checked
-            // arena access per clause instead of one per literal.
+            // borrowed across the watch search.
             let mut ws = std::mem::take(&mut self.watches[false_lit.code()]);
             let mut keep = 0usize;
             let mut confl = None;
@@ -797,13 +811,13 @@ impl Solver {
                     keep += 1;
                     continue;
                 }
-                let h = self.clauses[w.cref as usize];
-                let cl = &mut self.lit_arena[h.range()];
-                if cl[0] == false_lit {
+                let range = lits(&self.arena, w.cref as usize);
+                let cl = &mut self.arena[range];
+                if cl[0] == false_lit.0 {
                     cl.swap(0, 1);
                 }
-                debug_assert_eq!(cl[1], false_lit);
-                let first = cl[0];
+                debug_assert_eq!(cl[1], false_lit.0);
+                let first = Lit(cl[0]);
                 if first != w.blocker && lv(&self.assign, first) == TRUE {
                     // Satisfied through the other watch: remember it as
                     // the blocker for next time.
@@ -813,7 +827,7 @@ impl Solver {
                 }
                 let mut moved = None;
                 for k in 2..cl.len() {
-                    let l = cl[k];
+                    let l = Lit(cl[k]);
                     if lv(&self.assign, l) != FALSE {
                         cl.swap(1, k);
                         moved = Some(l);
@@ -848,33 +862,13 @@ impl Solver {
         None
     }
 
-    /// `lit_value` without borrowing conflicts inside `propagate`.
-    #[allow(dead_code)]
-    fn lit_value_raw(&self, l: Lit) -> u8 {
-        match self.assign[l.var().index()] {
-            UNDEF => UNDEF,
-            TRUE => {
-                if l.is_neg() {
-                    FALSE
-                } else {
-                    TRUE
-                }
-            }
-            _ => {
-                if l.is_neg() {
-                    TRUE
-                } else {
-                    FALSE
-                }
-            }
-        }
-    }
-
-    /// First-UIP conflict analysis: returns the learnt clause (asserting
-    /// literal first, recursively minimized), the backtrack level, and
-    /// the clause's literal block distance (glue).
-    fn analyze(&mut self, confl: Conflict) -> (Vec<Lit>, u32, u32) {
-        let mut learnt: Vec<Lit> = vec![Lit(0)]; // slot 0 = asserting lit
+    /// First-UIP conflict analysis: builds the learnt clause in
+    /// `lits_buf` (asserting literal first, recursively minimized) and
+    /// returns the backtrack level and the clause's literal block
+    /// distance (glue).
+    fn analyze(&mut self, confl: Conflict) -> (u32, u32) {
+        self.lits_buf.clear();
+        self.lits_buf.push(Lit(0)); // slot 0 = asserting lit
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
         let mut idx = self.trail.len();
@@ -883,13 +877,12 @@ impl Solver {
             match ante {
                 Conflict::Long(cref) => {
                     self.bump_clause(cref);
-                    let h = self.clauses[cref as usize];
-                    for k in h.range() {
-                        let q = self.lit_arena[k];
+                    for k in lits(&self.arena, cref as usize) {
+                        let q = Lit(self.arena[k]);
                         if Some(q) == p {
                             continue; // the pivot: the literal this clause implied
                         }
-                        self.analyze_mark(q, &mut counter, &mut learnt);
+                        self.analyze_mark(q, &mut counter);
                     }
                 }
                 Conflict::Bin(a, b) => {
@@ -897,7 +890,7 @@ impl Solver {
                         if Some(q) == p {
                             continue;
                         }
-                        self.analyze_mark(q, &mut counter, &mut learnt);
+                        self.analyze_mark(q, &mut counter);
                     }
                 }
             }
@@ -913,7 +906,7 @@ impl Solver {
             counter -= 1;
             p = Some(pl);
             if counter == 0 {
-                learnt[0] = !pl;
+                self.lits_buf[0] = !pl;
                 break;
             }
             let r = self.reason[pl.var().index()];
@@ -921,6 +914,7 @@ impl Solver {
             ante = if r & BIN_TAG != 0 {
                 Conflict::Bin(pl, Lit(r & !BIN_TAG))
             } else {
+                debug_assert_eq!(self.arena[r as usize + 1], pl.0, "implied literal in slot 0");
                 Conflict::Long(r)
             };
         }
@@ -928,41 +922,52 @@ impl Solver {
         // graph antecedents all resolve into the clause (or level 0) is
         // redundant — the rest of the clause already subsumes it. The
         // `seen` marks for all learnt literals stay up during the walk,
-        // which is what makes dropping several literals at once sound.
-        let abstract_levels = learnt[1..]
+        // which is what makes dropping several literals at once sound; a
+        // dropped literal's mark is cleared at the end with the walk's
+        // own marks, through `min_clear`.
+        let abstract_levels = self.lits_buf[1..]
             .iter()
             .fold(0u64, |acc, l| acc | 1u64 << (self.level[l.var().index()] & 63));
-        let mut kept: Vec<Lit> = Vec::with_capacity(learnt.len());
-        kept.push(learnt[0]);
-        for &l in &learnt[1..] {
+        let mut n = 1;
+        for i in 1..self.lits_buf.len() {
+            let l = self.lits_buf[i];
             if self.reason[l.var().index()] == NO_REASON || !self.lit_redundant(l, abstract_levels)
             {
-                kept.push(l);
+                self.lits_buf[n] = l;
+                n += 1;
             } else {
                 self.stats.minimized += 1;
+                self.min_clear.push(l);
             }
         }
-        for &l in &learnt[1..] {
+        self.lits_buf.truncate(n);
+        for l in self.lits_buf[1..].iter().chain(&self.min_clear) {
             self.seen[l.var().index()] = false;
         }
-        for i in 0..self.min_clear.len() {
-            let v = self.min_clear[i].var().index();
-            self.seen[v] = false;
-        }
         self.min_clear.clear();
-        let mut learnt = kept;
-        // Glue: distinct decision levels across the minimized clause.
-        let mut levels: Vec<u32> = learnt.iter().map(|l| self.level[l.var().index()]).collect();
-        levels.sort_unstable();
-        levels.dedup();
-        let glue = levels.len() as u32;
+        // Glue: distinct decision levels across the minimized clause,
+        // each level stamped with this conflict's ordinal when first met.
+        let stamp = self.stats.conflicts;
+        let top = self.decision_level() as usize;
+        if self.level_stamp.len() <= top {
+            self.level_stamp.resize(top + 1, 0);
+        }
+        let mut glue = 0;
+        for l in &self.lits_buf {
+            let lev = self.level[l.var().index()] as usize;
+            if self.level_stamp[lev] != stamp {
+                self.level_stamp[lev] = stamp;
+                glue += 1;
+            }
+        }
         // Backtrack to the second-highest level; move that literal into
         // watch position 1.
-        let bt = if learnt.len() == 1 {
+        let learnt = &mut self.lits_buf;
+        let bt = if n == 1 {
             0
         } else {
             let mut max_i = 1;
-            for i in 2..learnt.len() {
+            for i in 2..n {
                 if self.level[learnt[i].var().index()] > self.level[learnt[max_i].var().index()] {
                     max_i = i;
                 }
@@ -970,10 +975,10 @@ impl Solver {
             learnt.swap(1, max_i);
             self.level[learnt[1].var().index()]
         };
-        (learnt, bt, glue)
+        (bt, glue)
     }
 
-    fn analyze_mark(&mut self, q: Lit, counter: &mut usize, learnt: &mut Vec<Lit>) {
+    fn analyze_mark(&mut self, q: Lit, counter: &mut usize) {
         let v = q.var().index();
         if !self.seen[v] && self.level[v] > 0 {
             self.seen[v] = true;
@@ -981,7 +986,7 @@ impl Solver {
             if self.level[v] >= self.decision_level() {
                 *counter += 1;
             } else {
-                learnt.push(q);
+                self.lits_buf.push(q);
             }
         }
     }
@@ -1001,12 +1006,10 @@ impl Solver {
             let ok = if r & BIN_TAG != 0 {
                 self.min_check(Lit(r & !BIN_TAG), abstract_levels)
             } else {
-                let h = self.clauses[r as usize];
                 let mut all = true;
-                // The slot at `start` is the literal this clause
-                // implied — skip it.
-                for k in h.range().skip(1) {
-                    let q = self.lit_arena[k];
+                // Slot 0 is the literal this clause implied — skip it.
+                for k in lits(&self.arena, r as usize).skip(1) {
+                    let q = Lit(self.arena[k]);
                     if !self.min_check(q, abstract_levels) {
                         all = false;
                         break;
@@ -1045,23 +1048,21 @@ impl Solver {
         }
     }
 
-    fn attach(&mut self, lits: Vec<Lit>, learnt: bool, glue: u32) -> u32 {
-        debug_assert!(lits.len() >= 3);
-        let cref = self.clauses.len() as u32;
-        self.watches[lits[0].code()].push(Watch { cref, blocker: lits[1] });
-        self.watches[lits[1].code()].push(Watch { cref, blocker: lits[0] });
-        let start = self.lit_arena.len() as u32;
-        self.lit_arena.extend_from_slice(&lits);
-        self.clauses.push(Clause {
-            start,
-            len: lits.len() as u32,
-            learnt,
-            activity: self.cla_inc,
-            glue,
-        });
+    fn attach(&mut self, c: &[Lit], learnt: bool, glue: u32) -> u32 {
+        debug_assert!(c.len() >= 3);
+        let cref = self.arena.len() as u32;
+        assert!(cref < BIN_TAG, "clause arena past 2^31 words");
+        self.watches[c[0].code()].push(Watch { cref, blocker: c[1] });
+        self.watches[c[1].code()].push(Watch { cref, blocker: c[0] });
+        self.arena.push((c.len() as u32) << 2 | u32::from(learnt));
+        self.arena.extend(c.iter().map(|l| l.0));
         if learnt {
+            self.arena.extend([glue, 0, 0]);
+            let at = self.arena.len() - 2;
+            write_activity(&mut self.arena, at, self.cla_inc);
             self.stats.learnt += 1;
         }
+        self.n_clauses += 1;
         cref
     }
 
@@ -1070,82 +1071,80 @@ impl Solver {
     fn attach_binary(&mut self, a: Lit, b: Lit) {
         self.bin_imps[(!a).code()].push(b);
         self.bin_imps[(!b).code()].push(a);
-        self.n_bin += 1;
+        self.n_clauses += 1;
     }
 
     /// Halves the learnt-clause database. Eviction order is (glue
-    /// descending, activity ascending): a clause spanning few decision
-    /// levels is structurally valuable regardless of how recently it
-    /// fired, so glue ≤ 2 clauses are kept unconditionally (counted in
+    /// descending, activity ascending), a stable sort over the candidates
+    /// in allocation order: a clause spanning few decision levels is
+    /// structurally valuable regardless of how recently it fired, so
+    /// glue ≤ 2 clauses are kept unconditionally (counted in
     /// `stats.glue_kept`), as are reason clauses. Binary clauses live in
-    /// the implication lists and never reach this path. The watch lists
-    /// and reason references are rebuilt around the compacted arena.
+    /// the implication lists and never reach this path.
+    ///
+    /// Survivors slide down the arena in allocation order; a locked
+    /// clause's reason entry is forwarded to its new offset as it moves,
+    /// and every watch list is rebuilt in clause order with the two
+    /// watched literals as each other's blockers.
     fn reduce_db(&mut self) {
-        let mut locked = vec![false; self.clauses.len()];
-        for &r in &self.reason {
-            // `NO_REASON` carries `BIN_TAG` too, so this skips both
-            // binary reasons and unassigned variables.
-            if r & BIN_TAG == 0 {
-                locked[r as usize] = true;
-            }
-        }
-        let mut cand: Vec<usize> = Vec::new();
+        // (glue, activity, cref) of every evictable learnt clause.
+        let mut cand: Vec<(u32, f64, u32)> = Vec::new();
         let mut protected = 0u64;
-        for (i, c) in self.clauses.iter().enumerate() {
-            if c.learnt && !locked[i] {
-                if c.glue <= 2 {
+        let mut c = 0;
+        while c < self.arena.len() {
+            let end = lits(&self.arena, c).end;
+            if self.arena[c] & LEARNT != 0 && !self.is_locked(c) {
+                let glue = self.arena[end];
+                if glue <= 2 {
                     protected += 1;
                 } else {
-                    cand.push(i);
+                    cand.push((glue, read_activity(&self.arena, end + 1), c as u32));
                 }
             }
+            c = next_clause(&self.arena, c);
         }
         self.stats.glue_kept += protected;
+        self.next_reduce += self.next_reduce / 2;
         if cand.is_empty() {
-            self.next_reduce += self.next_reduce / 2;
             return;
         }
-        cand.sort_by(|&a, &b| {
-            let (ca, cb) = (&self.clauses[a], &self.clauses[b]);
-            cb.glue
-                .cmp(&ca.glue)
-                .then(ca.activity.partial_cmp(&cb.activity).expect("activities are finite"))
+        cand.sort_by(|a, b| {
+            b.0.cmp(&a.0).then(a.1.partial_cmp(&b.1).expect("activities are finite"))
         });
-        let mut dropping = vec![false; self.clauses.len()];
-        for &i in cand.iter().take(cand.len() / 2) {
-            dropping[i] = true;
+        for &(_, _, c) in &cand[..cand.len() / 2] {
+            self.arena[c as usize] |= DROPPED;
         }
-        let mut remap: Vec<u32> = vec![NO_REASON; self.clauses.len()];
-        let mut kept: Vec<Clause> = Vec::with_capacity(self.clauses.len());
-        let mut arena: Vec<Lit> = Vec::with_capacity(self.lit_arena.len());
-        for (i, c) in self.clauses.drain(..).enumerate() {
-            if dropping[i] {
-                self.stats.learnt -= 1;
-            } else {
-                remap[i] = kept.len() as u32;
-                let start = arena.len() as u32;
-                arena.extend_from_slice(&self.lit_arena[c.range()]);
-                kept.push(Clause { start, ..c });
-            }
-        }
-        self.clauses = kept;
-        self.lit_arena = arena;
         for w in &mut self.watches {
             w.clear();
         }
-        for (i, c) in self.clauses.iter().enumerate() {
-            let cref = i as u32;
-            let (l0, l1) = (self.lit_arena[c.start as usize], self.lit_arena[c.start as usize + 1]);
-            self.watches[l0.code()].push(Watch { cref, blocker: l1 });
-            self.watches[l1.code()].push(Watch { cref, blocker: l0 });
-        }
-        for r in &mut self.reason {
-            if *r & BIN_TAG == 0 {
-                *r = remap[*r as usize];
-                debug_assert_ne!(*r, NO_REASON, "reason clause was dropped");
+        let (mut from, mut to) = (0, 0);
+        while from < self.arena.len() {
+            let next = next_clause(&self.arena, from);
+            if self.arena[from] & DROPPED != 0 {
+                self.stats.learnt -= 1;
+                self.n_clauses -= 1;
+            } else {
+                let cref = to as u32;
+                let (l0, l1) = (Lit(self.arena[from + 1]), Lit(self.arena[from + 2]));
+                // Offsets only shrink, so a forwarded reason can never
+                // equal the old offset of a later clause.
+                if self.is_locked(from) {
+                    self.reason[l0.var().index()] = cref;
+                }
+                self.watches[l0.code()].push(Watch { cref, blocker: l1 });
+                self.watches[l1.code()].push(Watch { cref, blocker: l0 });
+                self.arena.copy_within(from..next, to);
+                to += next - from;
             }
+            from = next;
         }
-        self.next_reduce += self.next_reduce / 2;
+        self.arena.truncate(to);
+    }
+
+    /// Whether the clause at `cref` is the reason of an assignment (its
+    /// implied literal sits in slot 0).
+    fn is_locked(&self, cref: usize) -> bool {
+        self.reason[Lit(self.arena[cref + 1]).var().index()] == cref as u32
     }
 
     // -------------------------------------------------------- activities
@@ -1162,15 +1161,24 @@ impl Solver {
     }
 
     fn bump_clause(&mut self, cref: u32) {
-        let c = &mut self.clauses[cref as usize];
-        if c.learnt {
-            c.activity += self.cla_inc;
-            if c.activity > 1e20 {
-                for c in &mut self.clauses {
-                    c.activity *= 1e-20;
+        let c = cref as usize;
+        if self.arena[c] & LEARNT == 0 {
+            return;
+        }
+        let at = lits(&self.arena, c).end + 1;
+        let a = read_activity(&self.arena, at) + self.cla_inc;
+        write_activity(&mut self.arena, at, a);
+        if a > 1e20 {
+            let mut c = 0;
+            while c < self.arena.len() {
+                if self.arena[c] & LEARNT != 0 {
+                    let at = lits(&self.arena, c).end + 1;
+                    let a = read_activity(&self.arena, at) * 1e-20;
+                    write_activity(&mut self.arena, at, a);
                 }
-                self.cla_inc *= 1e-20;
+                c = next_clause(&self.arena, c);
             }
+            self.cla_inc *= 1e-20;
         }
     }
 
@@ -1615,6 +1623,149 @@ mod tests {
                 "configs disagree: {verdicts:?} on {clauses:?}"
             );
         }
+    }
+
+    impl Solver {
+        /// Moves the first learnt-database reduction from 4,000 learnt
+        /// clauses down to `learnt`, so small formulas reach `reduce_db`.
+        fn set_first_reduce(&mut self, learnt: usize) {
+            self.next_reduce = learnt;
+        }
+
+        /// Database reductions run so far, read off the threshold's
+        /// growth from `first` (each call raises it by half).
+        fn reductions_since(&self, first: usize) -> usize {
+            std::iter::successors(Some(first), |t| Some(t + t / 2))
+                .take_while(|&t| t < self.next_reduce)
+                .count()
+        }
+
+        /// Checks the arena after compaction: headers walk to its end,
+        /// the learnt count matches, every long clause is watched exactly
+        /// through its first two literals, and every long reason names a
+        /// clause whose slot 0 holds the implied literal.
+        fn check_arena(&self) {
+            let mut watched = std::collections::HashMap::new();
+            let (mut c, mut learnt) = (0, 0);
+            while c < self.arena.len() {
+                assert!(lits(&self.arena, c).len() >= 3, "short clause at {c}");
+                assert_eq!(self.arena[c] & DROPPED, 0, "evicted clause left at {c}");
+                learnt += u64::from(self.arena[c] & LEARNT);
+                watched.insert(c as u32, 0);
+                c = next_clause(&self.arena, c);
+            }
+            assert_eq!(c, self.arena.len(), "arena walk overran");
+            assert_eq!(learnt, self.stats.learnt);
+            for (code, ws) in self.watches.iter().enumerate() {
+                for w in ws {
+                    let n = watched.get_mut(&w.cref).expect("watch names a clause header");
+                    *n += 1;
+                    let c = w.cref as usize;
+                    assert!(self.arena[c + 1..c + 3].contains(&(code as u32)), "stale watch");
+                }
+            }
+            assert!(watched.values().all(|&n| n == 2), "each clause watched twice");
+            for (v, &r) in self.reason.iter().enumerate() {
+                if r & BIN_TAG == 0 {
+                    assert_eq!(Lit(self.arena[r as usize + 1]).var().index(), v);
+                }
+            }
+        }
+    }
+
+    /// A random formula over `n` variables with clauses of 3 to 5
+    /// literals, so learnt and original clauses of several sizes share
+    /// the arena.
+    fn random_formula(rng: &mut StdRng, n: usize, m: usize) -> Vec<Vec<(usize, bool)>> {
+        (0..m)
+            .map(|_| {
+                (0..rng.gen_range(3..6)).map(|_| (rng.gen_range(0..n), rng.gen_bool(0.5))).collect()
+            })
+            .collect()
+    }
+
+    fn brute_force_sat(n: usize, clauses: &[Vec<(usize, bool)>]) -> bool {
+        (0..1u32 << n)
+            .any(|m| clauses.iter().all(|c| c.iter().any(|&(v, pos)| ((m >> v) & 1 == 1) == pos)))
+    }
+
+    fn add_formula(s: &mut Solver, vars: &[Var], clauses: &[Vec<(usize, bool)>]) {
+        for c in clauses {
+            let lits: Vec<Lit> =
+                c.iter().map(|&(v, pos)| if pos { vars[v].pos() } else { vars[v].neg() }).collect();
+            s.add_clause(&lits);
+        }
+    }
+
+    /// Solves and checks the verdict against brute force and a model
+    /// against every clause, then the arena.
+    fn solve_and_check(s: &mut Solver, vars: &[Var], clauses: &[Vec<(usize, bool)>]) {
+        let got = s.solve();
+        assert_eq!(got == SolveOutcome::Sat, brute_force_sat(vars.len(), clauses), "{clauses:?}");
+        if got == SolveOutcome::Sat {
+            for c in clauses {
+                assert!(c.iter().any(|&(v, pos)| s.value(vars[v]) == pos), "model violates {c:?}");
+            }
+        }
+        s.check_arena();
+    }
+
+    #[test]
+    fn forced_reductions_agree_with_brute_force() {
+        let mut rng = StdRng::seed_from_u64(0xdb);
+        let mut reduced_twice = 0;
+        for _ in 0..120 {
+            let n = rng.gen_range(12..17usize);
+            let mut clauses = random_formula(&mut rng, n, 8 * n);
+            let mut s = Solver::new();
+            s.set_first_reduce(2);
+            let vars: Vec<Var> = (0..n).map(|_| s.new_var()).collect();
+            add_formula(&mut s, &vars, &clauses);
+            solve_and_check(&mut s, &vars, &clauses);
+            reduced_twice += usize::from(s.reductions_since(2) >= 2);
+            // Incremental use after compaction: more clauses, solve again.
+            let more = random_formula(&mut rng, n, n / 2);
+            add_formula(&mut s, &vars, &more);
+            clauses.extend(more);
+            solve_and_check(&mut s, &vars, &clauses);
+        }
+        assert!(reduced_twice >= 30, "only {reduced_twice} formulas reduced twice");
+    }
+
+    #[test]
+    fn a_reduction_evicts_half_the_candidates() {
+        let mut rng = StdRng::seed_from_u64(0xe71c);
+        let mut evicted = 0;
+        for _ in 0..40 {
+            let n = 16;
+            let mut clauses = random_formula(&mut rng, n, 8 * n);
+            let mut s = Solver::new();
+            let vars: Vec<Var> = (0..n).map(|_| s.new_var()).collect();
+            add_formula(&mut s, &vars, &clauses);
+            solve_and_check(&mut s, &vars, &clauses);
+            // Reduce by hand at level 0: unlocked learnt clauses with
+            // glue > 2 are the candidates, and half of them go.
+            let mut cand = 0;
+            let mut c = 0;
+            while c < s.arena.len() {
+                if s.arena[c] & LEARNT != 0 && !s.is_locked(c) && s.arena[lits(&s.arena, c).end] > 2
+                {
+                    cand += 1;
+                }
+                c = next_clause(&s.arena, c);
+            }
+            let held = s.stats().learnt;
+            s.reduce_db();
+            assert_eq!(s.stats().learnt, held - cand / 2);
+            evicted += cand / 2;
+            s.check_arena();
+            solve_and_check(&mut s, &vars, &clauses);
+            let more = random_formula(&mut rng, n, n / 2);
+            add_formula(&mut s, &vars, &more);
+            clauses.extend(more);
+            solve_and_check(&mut s, &vars, &clauses);
+        }
+        assert!(evicted > 0, "no reduction evicted anything");
     }
 
     #[test]

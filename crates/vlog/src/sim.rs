@@ -11,7 +11,9 @@
 //! down to context-determined operands — restricted to two-state values
 //! of at most 64 bits (wider signals, like a long `working_key`, may only
 //! be read through bit- and part-selects, which is all synthesizable
-//! datapaths do).
+//! datapaths do; a whole read is an elaboration error). A concatenation
+//! part or replicated unit of 64 bits or more shifts everything before it
+//! out of the value.
 //!
 //! The run protocol mirrors the paper's extended testbenches (Sec. 4.1):
 //! one reset edge latches the argument ports, then `start` is held high
@@ -703,12 +705,14 @@ impl VlogSim {
                 let v = self.eval(a, st, aw, a.self_signed());
                 extend(v, aw, w, s)
             }
+            // A part or unit of 64 bits or more shifts everything before
+            // it out of the 64-bit value.
             CExpr::Concat(parts) => {
                 let mut acc = 0u64;
                 for p in parts {
                     let pw = p.self_width();
                     let v = self.eval(p, st, pw, p.self_signed());
-                    acc = (acc << pw) | (v & mask(pw));
+                    acc = acc.checked_shl(pw).unwrap_or(0) | (v & mask(pw));
                 }
                 acc & mask(w)
             }
@@ -717,7 +721,7 @@ impl VlogSim {
                 let v = self.eval(a, st, aw, a.self_signed()) & mask(aw);
                 let mut acc = 0u64;
                 for _ in 0..*n {
-                    acc = (acc << aw) | v;
+                    acc = acc.checked_shl(aw).unwrap_or(0) | v;
                 }
                 acc & mask(w)
             }
@@ -1080,7 +1084,15 @@ impl<'m, 'a> Compiler<'m, 'a> {
                 if let Some((v, w)) = bind.param {
                     CExpr::Const { value: v, width: w, signed: false, unsz: false }
                 } else if let Some(id) = bind.sig {
-                    CExpr::Sig { id, width: self.sigs[id].width }
+                    let width = self.sigs[id].width;
+                    if width > 64 {
+                        return err(format!(
+                            "whole read of the {width}-bit `{}` unsupported (at most 64 bits; \
+                             use a part-select)",
+                            self.name(*name)
+                        ));
+                    }
+                    CExpr::Sig { id, width }
                 } else {
                     return undeclared(*name);
                 }

@@ -1539,12 +1539,14 @@ impl<'a> TapeCompiler<'a> {
                     }
                     let vp = self.expr(p, pw, p.self_signed());
                     acc = Some(match acc {
-                        None => vp,
-                        Some(prev) => {
+                        // A part of 64 bits or more shifts the accumulated
+                        // bits out: the value is the part's.
+                        Some(prev) if pw < 64 => {
                             let dst = self.alloc();
                             self.emit(Code::ShlOr, dst, prev, pw, vp as u64);
                             dst
                         }
+                        _ => vp,
                     });
                 }
                 match acc {
@@ -1574,12 +1576,12 @@ impl<'a> TapeCompiler<'a> {
                 let mut acc = None;
                 for _ in 0..*reps {
                     acc = Some(match acc {
-                        None => unit,
-                        Some(prev) => {
+                        Some(prev) if aw < 64 => {
                             let dst = self.alloc();
                             self.emit(Code::ShlOr, dst, prev, aw, unit as u64);
                             dst
                         }
+                        _ => unit,
                     });
                 }
                 match acc {

@@ -408,3 +408,58 @@ fn hostile_sizes_are_errors_not_overflows() {
         assert!(VlogTape::new(text).is_err(), "{text}");
     }
 }
+
+/// A 64-bit datapath whose register `r1` latches `arg0` at reset and then
+/// takes `rhs` for one cycle, with a 96-bit key port.
+fn wide_concat_text(rhs: &str) -> String {
+    format!(
+        "module t (\n  input wire clk,\n  input wire rst,\n  input wire start,\n  \
+         input wire [95:0] working_key,\n  input wire [63:0] arg0,\n  \
+         output wire [63:0] ret,\n  output reg done\n);\n  reg [63:0] r1;\n  \
+         assign ret = r1;\n  always @(posedge clk) begin\n    if (rst) begin\n      \
+         done <= 1'b0;\n      r1 <= arg0;\n    end else if (start) begin\n      \
+         r1 <= {rhs};\n      done <= 1'b1;\n    end\n  end\nendmodule\n"
+    )
+}
+
+/// A concatenation part or replicated unit of 64 bits shifts everything
+/// before it out of the value, alike in both Verilog backends (it used to
+/// overflow the shift: a panic in debug builds, `r1 | 1` in release).
+#[test]
+fn wide_concat_parts_shift_the_rest_out() {
+    let a = 0x8123_4567_89ab_cdef_u64;
+    let key = KeyBits::zero(96);
+    for (rhs, want) in [
+        ("{1'b1, r1}", a),
+        ("{2{r1}}", a),
+        ("{{4'hf, r1}, 4'h5}", a << 4 | 5),
+        ("{r1[59:0], 4'h5}", a << 4 | 5),
+    ] {
+        let text = wide_concat_text(rhs);
+        let sim = VlogSim::new(&text).expect(rhs);
+        let tape = VlogTape::compile(&sim).expect(rhs);
+        for ret in [
+            sim.simulate(&[a], &key, &[], &SimOptions::default()).expect(rhs).ret,
+            tape.simulate(&[a], &key, &[], &SimOptions::default()).expect(rhs).ret,
+        ] {
+            assert_eq!(ret, Some(want), "{rhs}");
+        }
+    }
+}
+
+/// A whole read of a signal wider than 64 bits is an elaboration error
+/// (it used to keep only some of the key's bits); part-selects of it work.
+#[test]
+fn whole_reads_wider_than_64_bits_are_errors() {
+    let text = wide_concat_text("{32'hFFFFFFFF, working_key}");
+    let e = VlogSim::new(&text).expect_err("whole read of a 96-bit key");
+    assert!(e.msg.contains("whole read of the 96-bit `working_key`"), "{e}");
+    assert!(VlogTape::new(&text).is_err());
+    let text = wide_concat_text("{32'hFFFFFFFF, working_key[31:0]}");
+    let mut key = KeyBits::zero(96);
+    key.set_bit(0, true);
+    key.set_bit(95, true);
+    let sim = VlogSim::new(&text).expect("part-select of the key");
+    let res = sim.simulate(&[0], &key, &[], &SimOptions::default()).expect("runs");
+    assert_eq!(res.ret, Some(0xFFFF_FFFF_0000_0001));
+}
