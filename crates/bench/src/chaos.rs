@@ -49,7 +49,7 @@ pub fn chaos_smoke() -> String {
     }
     let ctape = CompiledFsmd::compile(&d.fsmd);
     let opts = SimOptions { max_cycles: 100_000, snapshot_on_timeout: true };
-    let reference = ctape.simulate_many(&cases, &keys, &opts);
+    let reference = GridExec::sequential().grid(&ctape, &cases, &keys, &opts);
     let n_cases = cases.len();
     let total = n_cases * keys.len();
 
@@ -58,7 +58,7 @@ pub fn chaos_smoke() -> String {
     for workers in [1usize, 2, 5] {
         let plan = FaultPlan::new().panic_at(sites::GRID_TRIAL, panic_coord);
         let budget = Budget::unlimited().with_faults(plan);
-        let rows = GridExec::new(workers).grid_budgeted(&ctape, &cases, &keys, &opts, &budget);
+        let rows = GridExec::new(workers).with_budget(budget).grid(&ctape, &cases, &keys, &opts);
         for (i, got) in rows.iter().flatten().enumerate() {
             if i as u64 == panic_coord {
                 assert!(
@@ -82,7 +82,7 @@ pub fn chaos_smoke() -> String {
     // --- grid: spurious cancellation drains to a prefix on one worker ---
     let plan = FaultPlan::new().cancel_at(sites::GRID_TRIAL, 2);
     let budget = Budget::unlimited().with_faults(plan);
-    let rows = GridExec::new(1).grid_budgeted(&ctape, &cases, &keys, &opts, &budget);
+    let rows = GridExec::new(1).with_budget(budget).grid(&ctape, &cases, &keys, &opts);
     let flat: Vec<_> = rows.iter().flatten().collect();
     let done = flat.iter().take_while(|r| !matches!(r, Err(SimError::Cancelled))).count();
     assert!(done < total, "cancellation must skip a tail");

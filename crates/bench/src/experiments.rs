@@ -653,7 +653,8 @@ pub fn attack() -> Vec<AttackRow> {
                 let oracle: Vec<_> =
                     cases.iter().map(|c| golden_outputs(&d.module, b.top, c)).collect();
                 let opts = SimOptions { max_cycles: 300_000, snapshot_on_timeout: true };
-                let out = tao::oracle_guided_branch_attack(&d, &wk, &cases, &oracle, &opts);
+                let ctape = CompiledFsmd::compile(&d.fsmd);
+                let out = tao::oracle_guided_branch_attack(&d, &ctape, &wk, &cases, &oracle, &opts);
                 Some((out.candidates_surviving, out.candidates_tried))
             } else {
                 None

@@ -732,9 +732,8 @@ pub fn render_bench_diff(deltas: &[BenchDelta]) -> String {
 // ----------------------------------------------------------- grid smoke
 
 /// CI-sized parallel-sweep check: a locked kernel's (case × key) grid on
-/// ≥ 2 workers must be bit-identical to the 1-worker grid (and to the
-/// sequential `simulate_many` wrapper). Returns a human-readable
-/// summary.
+/// ≥ 2 workers must be bit-identical to the 1-worker grid. Returns a
+/// human-readable summary.
 ///
 /// # Panics
 ///
@@ -754,12 +753,12 @@ pub fn grid_smoke() -> String {
     let ctape = CompiledFsmd::compile(&d.fsmd);
     let budget = SimOptions { max_cycles: 2_000_000, snapshot_on_timeout: true };
 
-    let seq = ctape.simulate_many(&cases, &keys, &budget);
+    let seq = GridExec::sequential().grid(&ctape, &cases, &keys, &budget);
     let workers = GridExec::default().workers_for(keys.len() * cases.len()).max(2);
     let t0 = Instant::now();
     let par = GridExec::new(workers).grid(&ctape, &cases, &keys, &budget);
     let secs = t0.elapsed().as_secs_f64();
-    assert_eq!(par, seq, "parallel grid diverged from sequential simulate_many");
+    assert_eq!(par, seq, "parallel grid diverged from the 1-worker grid");
     let cycles: u64 = par.iter().flatten().map(|r| r.as_ref().expect("snapshot mode").cycles).sum();
     format!(
         "grid-smoke: {} trials ({} cases x {} keys) on {} workers, {} cycles, {:.1}M cycles/s, \
@@ -777,8 +776,8 @@ pub fn grid_smoke() -> String {
 
 /// CI-sized specialization check: a locked kernel's (case × key) grid on
 /// the bind-time specialized backend must be bit-identical to the
-/// sequential tape grid (`simulate_many`) — same stats, same errors,
-/// correct key and wrong keys alike. Returns a human-readable summary.
+/// 1-worker tape grid — same stats, same errors, correct key and wrong
+/// keys alike. Returns a human-readable summary.
 ///
 /// # Panics
 ///
@@ -800,12 +799,12 @@ pub fn spec_smoke() -> String {
     let spec = SpecFsmd::from_compiled(ctape.clone());
     let budget = SimOptions { max_cycles: 2_000_000, snapshot_on_timeout: true };
 
-    let seq = ctape.simulate_many(&cases, &keys, &budget);
+    let seq = GridExec::sequential().grid(&ctape, &cases, &keys, &budget);
     let workers = GridExec::default().workers_for(keys.len() * cases.len()).max(2);
     let t0 = Instant::now();
     let sg = GridExec::new(workers).grid(&spec, &cases, &keys, &budget);
     let secs = t0.elapsed().as_secs_f64();
-    assert_eq!(sg, seq, "specialized grid diverged from sequential tape simulate_many");
+    assert_eq!(sg, seq, "specialized grid diverged from the sequential tape grid");
     let cycles: u64 = sg.iter().flatten().map(|r| r.as_ref().expect("snapshot mode").cycles).sum();
     format!(
         "spec-smoke: {} trials ({} cases x {} keys) on {} workers, {} cycles, {:.1}M cycles/s, \

@@ -377,10 +377,12 @@ pub fn explore(
     eval_span.arg("points", total as u64);
     let point_counter = obs.counter("dse.points");
     let point_ns = obs.histogram("dse.point_ns");
-    let cells: Vec<TrialCell<Result<DsePoint, DseError>>> = exec.run_cells(
+    // Only this phase runs under the sweep's budget: the earlier phases'
+    // `run` must resolve every slot.
+    let eval_exec = exec.clone().with_budget(budget.clone());
+    let cells: Vec<TrialCell<Result<DsePoint, DseError>>> = eval_exec.run_cells(
         total,
         1,
-        budget,
         || (),
         |(), i| {
             budget.fault_hit(sites::DSE_POINT, i as u64);

@@ -8,7 +8,7 @@
 //! guard that drops without side effects, and no clock is ever read —
 //! so instrumented hot loops (the grid executor's trial loop, the CDCL
 //! search) run the same machine code as before within measurement noise
-//! (enforced by the `obs_overhead` criterion bench).
+//! (timed by the `obs_overhead` criterion bench).
 //!
 //! When enabled, the handle carries:
 //!

@@ -493,17 +493,6 @@ impl SpecFsmd {
             regs,
         })
     }
-
-    /// Batch convenience mirroring [`CompiledFsmd::simulate_many`]: the
-    /// sequential (case × key) grid on one reused runner.
-    pub fn simulate_many(
-        &self,
-        cases: &[TestCase],
-        keys: &[KeyBits],
-        opts: &SimOptions,
-    ) -> Vec<Vec<Result<SimStats, SimError>>> {
-        sim_core::GridExec::sequential().grid(self, cases, keys, opts)
-    }
 }
 
 impl sim_core::Simulator for SpecFsmd {
@@ -1171,10 +1160,8 @@ mod tests {
         let cases = [TestCase::args(&[1]), TestCase::args(&[10])];
         let keys = [KeyBits::zero(0)];
         let opts = SimOptions::default();
-        assert_eq!(
-            spec.simulate_many(&cases, &keys, &opts),
-            tape.simulate_many(&cases, &keys, &opts),
-        );
+        let seq = sim_core::GridExec::sequential();
+        assert_eq!(seq.grid(&spec, &cases, &keys, &opts), seq.grid(&tape, &cases, &keys, &opts));
     }
 
     #[test]

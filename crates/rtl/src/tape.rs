@@ -263,37 +263,6 @@ impl CompiledFsmd {
             regs: runner.regs,
         })
     }
-
-    /// Batch convenience: every key × every case on one reused runner
-    /// (compile once, bind each key once). Returns `grid[k][c]` for key
-    /// `k` and case `c`.
-    ///
-    /// This is a thin wrapper over the sequential
-    /// [`sim_core::GridExec`]; pass the compiled design to a parallel
-    /// executor directly to shard the same grid over worker threads with
-    /// bit-identical results.
-    pub fn simulate_many(
-        &self,
-        cases: &[TestCase],
-        keys: &[KeyBits],
-        opts: &SimOptions,
-    ) -> Vec<Vec<Result<SimStats, SimError>>> {
-        sim_core::GridExec::sequential().grid(self, cases, keys, opts)
-    }
-
-    /// [`CompiledFsmd::simulate_many`] under a cooperative
-    /// [`sim_core::Budget`]: a cancelled or expired sweep drains at the
-    /// next key boundary and reports the unvisited slots as
-    /// [`SimError::Cancelled`] instead of vanishing.
-    pub fn simulate_many_budgeted(
-        &self,
-        cases: &[TestCase],
-        keys: &[KeyBits],
-        opts: &SimOptions,
-        budget: &sim_core::Budget,
-    ) -> Vec<Vec<Result<SimStats, SimError>>> {
-        sim_core::GridExec::sequential().grid_budgeted(self, cases, keys, opts, budget)
-    }
 }
 
 impl sim_core::Simulator for CompiledFsmd {
@@ -723,12 +692,12 @@ mod tests {
     }
 
     #[test]
-    fn simulate_many_grid_matches_singles() {
+    fn sequential_grid_matches_singles() {
         let fsmd = synth("int f(int a) { return a * 3 + 1; }", "f");
         let c = CompiledFsmd::compile(&fsmd);
         let cases = [TestCase::args(&[1]), TestCase::args(&[10])];
         let keys = [KeyBits::zero(0)];
-        let grid = c.simulate_many(&cases, &keys, &SimOptions::default());
+        let grid = sim_core::GridExec::sequential().grid(&c, &cases, &keys, &SimOptions::default());
         assert_eq!(grid.len(), 1);
         assert_eq!(grid[0].len(), 2);
         for (case, got) in cases.iter().zip(&grid[0]) {

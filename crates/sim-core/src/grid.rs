@@ -12,30 +12,31 @@
 //! Trials are ordered **key-major** (`trial = key_idx * n_cases +
 //! case_idx`): consecutive steals by one worker tend to share a key, so
 //! the runner's per-key binding (decrypted constants, selected variant
-//! slices, cached dispatches) is amortized exactly as in the sequential
-//! batch path.
+//! slices, cached dispatches) is amortized exactly as in a sequential
+//! loop.
 //!
-//! The generalized [`GridExec::run`] is the same fan-out the `hls-dse`
-//! engine pioneered (preallocated slots + atomic cursor), extended with a
-//! per-worker context factory so stateful runners never cross threads.
+//! One worker body serves every entry point. [`GridExec::run_cells`]
+//! returns one [`TrialCell`] per slot; [`GridExec::run`] is the same
+//! fan-out, one trial per steal, that re-raises the first trial panic
+//! after every slot has run; [`GridExec::grid`] is the (case × key)
+//! grid of a [`Simulator`] on it. The telemetry and progress hooks sit
+//! inline in that body: on a disabled handle each is one branch and
+//! reads no clock.
 //!
 //! ## Robustness
 //!
-//! The cell-level entry points ([`GridExec::run_cells`],
-//! [`GridExec::grid_budgeted`], and [`GridExec::grid`] built on them)
-//! are panic-isolated and budget-aware: each trial body runs under
-//! `catch_unwind`, so one dying trial becomes a per-slot
-//! [`TrialCell::Panicked`] (surfaced as [`SimError::WorkerPanic`] by the
-//! grid) while every other slot completes bit-identically; a cancelled
-//! or expired [`Budget`] makes workers drain at the next chunk boundary,
-//! leaving unreached slots as [`TrialCell::Skipped`]
+//! Each trial body runs under `catch_unwind`, so one dying trial becomes
+//! a per-slot [`TrialCell::Panicked`] (surfaced as
+//! [`SimError::WorkerPanic`] by the grid) while every other slot
+//! completes bit-identically. A [`Budget`] attached with
+//! [`GridExec::with_budget`] is checked before every steal: once it is
+//! cancelled or past its deadline, workers drain at the next chunk
+//! boundary, leaving unreached slots as [`TrialCell::Skipped`]
 //! ([`SimError::Cancelled`]). Results stay slot-indexed and
-//! worker-count-invariant even when trials die. All result mutexes
-//! recover from poisoning via [`PoisonError::into_inner`] — a worker
-//! panic can never abort the sweep.
+//! worker-count-invariant even when trials die.
 
-// The lint wall for this hot path: no `unwrap`/`expect` — every lock is
-// poison-recovered and every slot outcome is an explicit cell.
+// The lint wall for this hot path: no `unwrap`/`expect` — every slot
+// outcome is an explicit cell.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::contract::{SimError, SimOptions, SimStats, TestCase};
@@ -44,9 +45,8 @@ use crate::faultpoint;
 use crate::traits::{BatchRunner, Simulator};
 use hls_core::KeyBits;
 use obs::{Obs, ProgressTracker};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
 
 /// The outcome of one grid trial under the panic-isolated, budgeted
 /// executor: the value, a caught panic, or never-reached.
@@ -61,17 +61,12 @@ pub enum TrialCell<T> {
         /// The stringified panic payload.
         payload: String,
     },
-    /// The sweep's [`Budget`] was exhausted before any worker reached
+    /// The executor's [`Budget`] was exhausted before any worker reached
     /// this slot.
     Skipped,
 }
 
 impl<T> TrialCell<T> {
-    /// `true` for [`TrialCell::Done`].
-    pub fn is_done(&self) -> bool {
-        matches!(self, TrialCell::Done(_))
-    }
-
     /// The completed value, if any.
     pub fn as_done(&self) -> Option<&T> {
         match self {
@@ -79,26 +74,6 @@ impl<T> TrialCell<T> {
             _ => None,
         }
     }
-
-    /// Consumes the cell into the completed value, if any.
-    pub fn into_done(self) -> Option<T> {
-        match self {
-            TrialCell::Done(v) => Some(v),
-            _ => None,
-        }
-    }
-}
-
-/// Recovers the protected value whether or not the mutex was poisoned.
-/// Works on both `lock()` guards and `into_inner()` values: a poisoned
-/// grid mutex only ever means "a worker panicked mid-publish", and the
-/// per-trial cells already carry that outcome.
-/// Per-worker result buckets: each worker pushes `(trial index, cell)`
-/// pairs under its own lock, drained slot-indexed at the end.
-type CellBuckets<T> = Vec<Mutex<Vec<(usize, TrialCell<T>)>>>;
-
-fn unpoison<T>(r: Result<T, PoisonError<T>>) -> T {
-    r.unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Stringifies a caught panic payload (`String` and `&str` payloads kept
@@ -155,28 +130,37 @@ where
 /// Telemetry is off by default; [`GridExec::with_obs`] attaches an
 /// [`obs::Obs`] handle, after which every fan-out records `grid.run` /
 /// `grid.worker` spans (per-worker steal counts, busy vs. idle nanos),
-/// the `grid.steals` / `grid.trials` counters and the `grid.trial_ns`
-/// latency histogram; the cell paths additionally count `grid.panics`
-/// (caught trial panics) and `grid.cancelled` (slots skipped by an
-/// exhausted budget). The disabled path is the exact uninstrumented
-/// loop — no clock reads, no atomics beyond the work cursor.
+/// the `grid.steals` / `grid.trials` counters, the `grid.trial_ns`
+/// latency histogram, and counts `grid.panics` (caught trial panics) and
+/// `grid.cancelled` (slots skipped by an exhausted budget). With the
+/// handle off every hook is one branch and no clock is read.
 ///
 /// Live progress is likewise off by default; [`GridExec::with_progress`]
 /// attaches an [`obs::ProgressTracker`], after which every fan-out
 /// announces its trial count up front (so `total` is deterministic at
 /// any worker count) and ticks once per resolved slot.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// No budget is attached by default; [`GridExec::with_budget`] attaches
+/// one, which every fan-out checks before each steal and whose armed
+/// fault plan reaches the [`faultpoint::sites::GRID_TRIAL`] site.
+#[derive(Debug, Clone)]
 pub struct GridExec {
     /// Worker threads (0 = one per available core).
     pub threads: usize,
     obs: Obs,
     progress: ProgressTracker,
+    budget: Budget,
 }
 
 impl Default for GridExec {
     /// One worker per available core.
     fn default() -> Self {
-        GridExec { threads: 0, obs: Obs::off(), progress: ProgressTracker::off() }
+        GridExec {
+            threads: 0,
+            obs: Obs::off(),
+            progress: ProgressTracker::off(),
+            budget: Budget::unlimited(),
+        }
     }
 }
 
@@ -187,8 +171,7 @@ impl GridExec {
     }
 
     /// The strictly sequential executor (one worker, run inline on the
-    /// calling thread — no spawn cost). `simulate_many` in both tape
-    /// modules is a thin wrapper over this.
+    /// calling thread — no spawn cost).
     pub fn sequential() -> GridExec {
         GridExec::new(1)
     }
@@ -206,8 +189,7 @@ impl GridExec {
     }
 
     /// Attaches a live progress feed; results are bit-identical with
-    /// any tracker (the instrumented twins are reused, and every obs
-    /// call on a disabled handle is inert).
+    /// any tracker.
     pub fn with_progress(mut self, progress: ProgressTracker) -> GridExec {
         self.progress = progress;
         self
@@ -216,6 +198,20 @@ impl GridExec {
     /// The attached progress feed (disabled unless set).
     pub fn progress(&self) -> &ProgressTracker {
         &self.progress
+    }
+
+    /// Attaches a cooperative budget: once it is cancelled or past its
+    /// deadline, workers drain at the next chunk boundary and unreached
+    /// slots come back [`TrialCell::Skipped`]. Completed slots are
+    /// bit-identical to an unbudgeted run.
+    pub fn with_budget(mut self, budget: Budget) -> GridExec {
+        self.budget = budget;
+        self
+    }
+
+    /// The attached budget (unlimited unless set).
+    pub fn budget(&self) -> &Budget {
+        &self.budget
     }
 
     /// Resolves the worker count for `n` work items: the requested thread
@@ -229,204 +225,59 @@ impl GridExec {
         t.min(n.max(1))
     }
 
-    /// Work-stealing fan-out with per-worker context: evaluates
-    /// `f(ctx, i)` for `i in 0..n` and returns the results in index
-    /// order. `make_ctx` runs once per worker **on that worker's
-    /// thread**, so the context (a tape runner, a scratch key buffer)
-    /// never crosses threads and needs neither `Send` nor `Sync`.
-    ///
-    /// With one worker the loop runs inline on the calling thread —
-    /// sequential consumers pay no synchronization.
+    /// [`GridExec::run_cells`] with one trial per steal, unwrapped, for
+    /// loops whose every trial must produce a value: evaluates
+    /// `f(ctx, i)` for `i in 0..n` and returns the values in index order.
     ///
     /// # Panics
     ///
-    /// This is the *infallible* fast path: a panicking `f` propagates to
-    /// the caller (after the other workers drain). Loops that must
-    /// survive dying trials use [`GridExec::run_cells`].
+    /// A trial panic does not stop the sweep: every slot runs first, and
+    /// then the first panicking slot's payload is re-raised as its string
+    /// form (a `&str` comes back as a `String`, a non-string payload as
+    /// the text "non-string panic payload"), at any worker count. A slot
+    /// skipped under an attached budget also panics: a sweep that may
+    /// drain early belongs on [`GridExec::run_cells`].
     pub fn run<C, T, M, F>(&self, n: usize, make_ctx: M, f: F) -> Vec<T>
     where
         T: Send,
         M: Fn() -> C + Sync,
         F: Fn(&mut C, usize) -> T + Sync,
     {
-        self.run_chunked(n, 1, make_ctx, f)
-    }
-
-    /// [`GridExec::run`] with chunk-granular stealing: the shared cursor
-    /// advances `chunk` trials per steal, and a worker evaluates the whole
-    /// chunk before stealing again. For (case × key) grids with key-major
-    /// trial order, `chunk = n_cases` means **all cases of one key land on
-    /// one worker** — the per-key runner binding happens exactly once
-    /// globally, and sub-millisecond trials stop hammering the cursor.
-    /// Results are slot-indexed and bit-identical to `run` for every
-    /// worker count and chunk size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk` is zero while there is work to do, and
-    /// propagates panics from `f` (see [`GridExec::run`]).
-    pub fn run_chunked<C, T, M, F>(&self, n: usize, chunk: usize, make_ctx: M, f: F) -> Vec<T>
-    where
-        T: Send,
-        M: Fn() -> C + Sync,
-        F: Fn(&mut C, usize) -> T + Sync,
-    {
-        if n == 0 {
-            return Vec::new();
-        }
-        assert!(chunk > 0, "chunk size must be positive");
-        let n_chunks = n.div_ceil(chunk);
-        let workers = self.workers_for(n_chunks);
-        if self.obs.enabled() || self.progress.enabled() {
-            return self.run_chunked_obs(n, chunk, n_chunks, workers, make_ctx, f);
-        }
-        if workers <= 1 {
-            let mut ctx = make_ctx();
-            return (0..n).map(|i| f(&mut ctx, i)).collect();
-        }
-        // Workers buffer (index, result) pairs locally and publish once
-        // at exit — one lock per worker lifetime, not per trial, so
-        // micro-trials (attack enumerations steal millions) never
-        // serialize on a shared slot lock.
-        let next = AtomicUsize::new(0);
-        let buckets: Vec<Mutex<Vec<(usize, T)>>> =
-            (0..workers).map(|_| Mutex::new(Vec::new())).collect();
-        let (next, make_ctx, f) = (&next, &make_ctx, &f);
-        std::thread::scope(|scope| {
-            for bucket in &buckets {
-                scope.spawn(move || {
-                    let mut ctx = make_ctx();
-                    let mut local: Vec<(usize, T)> = Vec::new();
-                    loop {
-                        let c = next.fetch_add(1, Ordering::Relaxed);
-                        if c >= n_chunks {
-                            break;
-                        }
-                        for i in c * chunk..((c + 1) * chunk).min(n) {
-                            local.push((i, f(&mut ctx, i)));
-                        }
-                    }
-                    *unpoison(bucket.lock()) = local;
-                });
-            }
-        });
-        collect_slots(n, buckets)
-    }
-
-    /// The instrumented twin of [`GridExec::run_chunked`]'s body: same
-    /// cursor, same chunking, same slot-indexed results — plus spans,
-    /// counters and the per-trial latency histogram. Kept separate so the
-    /// disabled path never reads a clock.
-    fn run_chunked_obs<C, T, M, F>(
-        &self,
-        n: usize,
-        chunk: usize,
-        n_chunks: usize,
-        workers: usize,
-        make_ctx: M,
-        f: F,
-    ) -> Vec<T>
-    where
-        T: Send,
-        M: Fn() -> C + Sync,
-        F: Fn(&mut C, usize) -> T + Sync,
-    {
-        let obs = &self.obs;
-        let progress = &self.progress;
-        progress.add_total(n as u64);
-        let mut run_span = obs.span("grid.run");
-        run_span.arg("trials", n as u64);
-        run_span.arg("chunk", chunk as u64);
-        run_span.arg("workers", workers as u64);
-        let steals = obs.counter("grid.steals");
-        let trials = obs.counter("grid.trials");
-        let trial_ns = obs.histogram("grid.trial_ns");
-        let chunk_trials = obs.histogram("grid.chunk_trials");
-        obs.gauge("grid.workers").fetch_max(workers as u64);
-        chunk_trials.record(chunk.min(n) as u64);
-        if workers <= 1 {
-            let mut wspan = obs.span("grid.worker");
-            let start = obs.now_ns();
-            let mut ctx = make_ctx();
-            let mut busy = 0u64;
-            let out = (0..n)
-                .map(|i| {
-                    let t0 = obs.now_ns();
-                    let r = f(&mut ctx, i);
-                    let dt = obs.now_ns().saturating_sub(t0);
-                    busy += dt;
-                    trial_ns.record(dt);
-                    progress.tick();
-                    r
-                })
-                .collect();
-            steals.add(n_chunks as u64);
-            trials.add(n as u64);
-            wspan.arg("steals", n_chunks as u64);
-            wspan.arg("trials", n as u64);
-            wspan.arg("busy_ns", busy);
-            wspan.arg("idle_ns", obs.now_ns().saturating_sub(start).saturating_sub(busy));
-            return out;
-        }
-        let next = AtomicUsize::new(0);
-        let buckets: Vec<Mutex<Vec<(usize, T)>>> =
-            (0..workers).map(|_| Mutex::new(Vec::new())).collect();
-        {
-            let (next, make_ctx, f) = (&next, &make_ctx, &f);
-            let (steals, trials, trial_ns) = (&steals, &trials, &trial_ns);
-            std::thread::scope(|scope| {
-                for bucket in &buckets {
-                    scope.spawn(move || {
-                        let mut wspan = obs.span("grid.worker");
-                        let start = obs.now_ns();
-                        let mut ctx = make_ctx();
-                        let mut local: Vec<(usize, T)> = Vec::new();
-                        let (mut n_steals, mut n_trials, mut busy) = (0u64, 0u64, 0u64);
-                        loop {
-                            let c = next.fetch_add(1, Ordering::Relaxed);
-                            if c >= n_chunks {
-                                break;
-                            }
-                            n_steals += 1;
-                            for i in c * chunk..((c + 1) * chunk).min(n) {
-                                let t0 = obs.now_ns();
-                                local.push((i, f(&mut ctx, i)));
-                                let dt = obs.now_ns().saturating_sub(t0);
-                                busy += dt;
-                                n_trials += 1;
-                                trial_ns.record(dt);
-                                progress.tick();
-                            }
-                        }
-                        steals.add(n_steals);
-                        trials.add(n_trials);
-                        wspan.arg("steals", n_steals);
-                        wspan.arg("trials", n_trials);
-                        wspan.arg("busy_ns", busy);
-                        wspan.arg(
-                            "idle_ns",
-                            obs.now_ns().saturating_sub(start).saturating_sub(busy),
-                        );
-                        *unpoison(bucket.lock()) = local;
-                    });
+        self.run_cells(n, 1, make_ctx, f)
+            .into_iter()
+            .enumerate()
+            .map(|(i, cell)| match cell {
+                TrialCell::Done(v) => v,
+                TrialCell::Panicked { payload } => resume_unwind(Box::new(payload)),
+                TrialCell::Skipped => {
+                    panic!("GridExec::run: trial {i} skipped by the budget; use run_cells to drain")
                 }
-            });
-        }
-        collect_slots(n, buckets)
+            })
+            .collect()
     }
 
     /// The panic-isolated, budget-aware fan-out: evaluates `f(ctx, i)`
-    /// for `i in 0..n` with chunk-granular stealing, each trial body
-    /// under `catch_unwind`, and returns one [`TrialCell`] per slot —
+    /// for `i in 0..n` and returns one [`TrialCell`] per slot —
     /// worker-count-invariant even when trials die.
     ///
+    /// - `make_ctx` runs at most once per worker **on that worker's
+    ///   thread** (again after a trial panic), so the context (a tape
+    ///   runner, a scratch key buffer) never crosses threads and needs
+    ///   neither `Send` nor `Sync`. With one worker the loop runs on the
+    ///   calling thread.
+    /// - The shared cursor advances `chunk` trials per steal, and a
+    ///   worker evaluates the whole chunk before stealing again. For
+    ///   (case × key) grids with key-major trial order, `chunk = n_cases`
+    ///   means **all cases of one key land on one worker** — the per-key
+    ///   runner binding happens exactly once globally, and
+    ///   sub-millisecond trials stop hammering the cursor.
     /// - A panicking trial yields [`TrialCell::Panicked`] in its own
     ///   slot; the worker re-mints its context and keeps going, so the
     ///   rest of the chunk (and sweep) still completes.
-    /// - Workers check `budget` before every steal and drain when it is
-    ///   cancelled or past its deadline; unreached slots come back
-    ///   [`TrialCell::Skipped`]. With one worker the completed set is a
-    ///   strict prefix (chunk-granular) of the trial order.
+    /// - Workers check the attached budget before every steal and drain
+    ///   when it is cancelled or past its deadline; unreached slots come
+    ///   back [`TrialCell::Skipped`]. With one worker the completed set
+    ///   is a strict prefix (chunk-granular) of the trial order.
     /// - The [`faultpoint::sites::GRID_TRIAL`] site fires inside the
     ///   catch scope with the trial index as its coordinate.
     ///
@@ -438,7 +289,6 @@ impl GridExec {
         &self,
         n: usize,
         chunk: usize,
-        budget: &Budget,
         make_ctx: M,
         f: F,
     ) -> Vec<TrialCell<T>>
@@ -453,72 +303,7 @@ impl GridExec {
         assert!(chunk > 0, "chunk size must be positive");
         let n_chunks = n.div_ceil(chunk);
         let workers = self.workers_for(n_chunks);
-        if self.obs.enabled() || self.progress.enabled() {
-            return self.run_cells_obs(n, chunk, n_chunks, workers, budget, make_ctx, f);
-        }
-        if workers <= 1 {
-            let mut out: Vec<TrialCell<T>> = Vec::with_capacity(n);
-            let mut ctx: Option<C> = None;
-            for c in 0..n_chunks {
-                if budget.is_exceeded() {
-                    break;
-                }
-                for i in c * chunk..((c + 1) * chunk).min(n) {
-                    out.push(eval_cell(&mut ctx, &make_ctx, &f, budget, i));
-                }
-            }
-            out.resize_with(n, || TrialCell::Skipped);
-            return out;
-        }
-        let next = AtomicUsize::new(0);
-        let buckets: CellBuckets<T> = (0..workers).map(|_| Mutex::new(Vec::new())).collect();
-        let (next, make_ctx, f) = (&next, &make_ctx, &f);
-        std::thread::scope(|scope| {
-            for bucket in &buckets {
-                scope.spawn(move || {
-                    let mut ctx: Option<C> = None;
-                    let mut local: Vec<(usize, TrialCell<T>)> = Vec::new();
-                    loop {
-                        if budget.is_exceeded() {
-                            break;
-                        }
-                        let c = next.fetch_add(1, Ordering::Relaxed);
-                        if c >= n_chunks {
-                            break;
-                        }
-                        for i in c * chunk..((c + 1) * chunk).min(n) {
-                            local.push((i, eval_cell(&mut ctx, make_ctx, f, budget, i)));
-                        }
-                    }
-                    *unpoison(bucket.lock()) = local;
-                });
-            }
-        });
-        collect_cells(n, buckets)
-    }
-
-    /// The instrumented twin of [`GridExec::run_cells`]: same cursor,
-    /// chunking, isolation and slot discipline, plus the `grid.*` spans
-    /// and counters and the cell-path extras (`grid.panics`,
-    /// `grid.cancelled`).
-    #[allow(clippy::too_many_arguments)]
-    fn run_cells_obs<C, T, M, F>(
-        &self,
-        n: usize,
-        chunk: usize,
-        n_chunks: usize,
-        workers: usize,
-        budget: &Budget,
-        make_ctx: M,
-        f: F,
-    ) -> Vec<TrialCell<T>>
-    where
-        T: Send,
-        M: Fn() -> C + Sync,
-        F: Fn(&mut C, usize) -> T + Sync,
-    {
-        let obs = &self.obs;
-        let progress = &self.progress;
+        let (obs, progress, budget) = (&self.obs, &self.progress, &self.budget);
         progress.add_total(n as u64);
         let mut run_span = obs.span("grid.run");
         run_span.arg("trials", n as u64);
@@ -527,23 +312,28 @@ impl GridExec {
         let steals = obs.counter("grid.steals");
         let trials = obs.counter("grid.trials");
         let trial_ns = obs.histogram("grid.trial_ns");
-        let chunk_trials = obs.histogram("grid.chunk_trials");
         obs.gauge("grid.workers").fetch_max(workers as u64);
-        chunk_trials.record(chunk.min(n) as u64);
-        let out = if workers <= 1 {
+        obs.histogram("grid.chunk_trials").record(chunk.min(n) as u64);
+
+        // Workers buffer (index, cell) pairs locally and hand them back
+        // when they exit, so micro-trials (attack enumerations steal
+        // millions) never serialize on a shared slot lock.
+        let next = AtomicUsize::new(0);
+        let worker = || {
             let mut wspan = obs.span("grid.worker");
             let start = obs.now_ns();
             let mut ctx: Option<C> = None;
-            let mut out: Vec<TrialCell<T>> = Vec::with_capacity(n);
+            let mut local: Vec<(usize, TrialCell<T>)> = Vec::new();
             let (mut n_steals, mut busy) = (0u64, 0u64);
-            for c in 0..n_chunks {
-                if budget.is_exceeded() {
+            while !budget.is_exceeded() {
+                let c = next.fetch_add(1, Ordering::Relaxed);
+                if c >= n_chunks {
                     break;
                 }
                 n_steals += 1;
                 for i in c * chunk..((c + 1) * chunk).min(n) {
                     let t0 = obs.now_ns();
-                    out.push(eval_cell(&mut ctx, &make_ctx, &f, budget, i));
+                    local.push((i, eval_cell(&mut ctx, &make_ctx, &f, budget, i)));
                     let dt = obs.now_ns().saturating_sub(t0);
                     busy += dt;
                     trial_ns.record(dt);
@@ -551,63 +341,35 @@ impl GridExec {
                 }
             }
             steals.add(n_steals);
-            trials.add(out.len() as u64);
+            trials.add(local.len() as u64);
             wspan.arg("steals", n_steals);
-            wspan.arg("trials", out.len() as u64);
+            wspan.arg("trials", local.len() as u64);
             wspan.arg("busy_ns", busy);
             wspan.arg("idle_ns", obs.now_ns().saturating_sub(start).saturating_sub(busy));
-            out.resize_with(n, || TrialCell::Skipped);
-            out
-        } else {
-            let next = AtomicUsize::new(0);
-            let buckets: CellBuckets<T> = (0..workers).map(|_| Mutex::new(Vec::new())).collect();
-            {
-                let (next, make_ctx, f) = (&next, &make_ctx, &f);
-                let (steals, trials, trial_ns) = (&steals, &trials, &trial_ns);
-                std::thread::scope(|scope| {
-                    for bucket in &buckets {
-                        scope.spawn(move || {
-                            let mut wspan = obs.span("grid.worker");
-                            let start = obs.now_ns();
-                            let mut ctx: Option<C> = None;
-                            let mut local: Vec<(usize, TrialCell<T>)> = Vec::new();
-                            let (mut n_steals, mut busy) = (0u64, 0u64);
-                            loop {
-                                if budget.is_exceeded() {
-                                    break;
-                                }
-                                let c = next.fetch_add(1, Ordering::Relaxed);
-                                if c >= n_chunks {
-                                    break;
-                                }
-                                n_steals += 1;
-                                for i in c * chunk..((c + 1) * chunk).min(n) {
-                                    let t0 = obs.now_ns();
-                                    local.push((i, eval_cell(&mut ctx, make_ctx, f, budget, i)));
-                                    let dt = obs.now_ns().saturating_sub(t0);
-                                    busy += dt;
-                                    trial_ns.record(dt);
-                                    progress.tick();
-                                }
-                            }
-                            steals.add(n_steals);
-                            trials.add(local.len() as u64);
-                            wspan.arg("steals", n_steals);
-                            wspan.arg("trials", local.len() as u64);
-                            wspan.arg("busy_ns", busy);
-                            wspan.arg(
-                                "idle_ns",
-                                obs.now_ns().saturating_sub(start).saturating_sub(busy),
-                            );
-                            *unpoison(bucket.lock()) = local;
-                        });
-                    }
-                });
-            }
-            collect_cells(n, buckets)
+            local
         };
-        let n_panics = out.iter().filter(|c| matches!(c, TrialCell::Panicked { .. })).count();
-        let n_skipped = out.iter().filter(|c| matches!(c, TrialCell::Skipped)).count();
+        let locals: Vec<Vec<(usize, TrialCell<T>)>> = if workers <= 1 {
+            vec![worker()]
+        } else {
+            // Trial panics are caught inside the worker, so a failed join
+            // is a bug in the executor itself: re-raise its own payload.
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
+                handles.into_iter().map(|h| h.join().unwrap_or_else(|p| resume_unwind(p))).collect()
+            })
+        };
+
+        let mut out: Vec<TrialCell<T>> = Vec::with_capacity(n);
+        out.resize_with(n, || TrialCell::Skipped);
+        let (mut n_done, mut n_panics) = (0usize, 0usize);
+        for (i, cell) in locals.into_iter().flatten() {
+            n_done += 1;
+            if matches!(cell, TrialCell::Panicked { .. }) {
+                n_panics += 1;
+            }
+            out[i] = cell;
+        }
+        let n_skipped = n - n_done;
         if n_panics > 0 {
             obs.counter("grid.panics").add(n_panics as u64);
         }
@@ -625,38 +387,22 @@ impl GridExec {
 
     /// Runs the full (case × key) grid on `sim`, one minted runner per
     /// worker, and returns `grid[k][c]` for key `k` and case `c` — the
-    /// same shape (and bit-identical contents) as the sequential
-    /// `simulate_many` batch helpers, for every worker count.
+    /// same contents as a plain nested loop over one runner, for every
+    /// worker count.
     ///
     /// Stealing is **key-chunked**: one steal takes all cases of one key,
     /// so each key is bound exactly once globally and tiny trials don't
     /// contend on the cursor.
     ///
-    /// Worker bodies are panic-isolated: a trial that panics reports
-    /// [`SimError::WorkerPanic`] in its own slot and the sweep completes
-    /// (this is [`GridExec::grid_budgeted`] with an unlimited budget).
+    /// Every slot comes back: a trial that panics reports
+    /// [`SimError::WorkerPanic`] in its own slot, and a trial the
+    /// attached budget never reached reports [`SimError::Cancelled`].
     pub fn grid<S: Simulator>(
         &self,
         sim: &S,
         cases: &[TestCase],
         keys: &[KeyBits],
         opts: &SimOptions,
-    ) -> Vec<Vec<Result<SimStats, SimError>>> {
-        self.grid_budgeted(sim, cases, keys, opts, &Budget::unlimited())
-    }
-
-    /// [`GridExec::grid`] under a [`Budget`]: workers drain at the next
-    /// key boundary once the budget is cancelled or expired, and every
-    /// slot still comes back — completed trials bit-identical to an
-    /// unbudgeted run, skipped trials as [`SimError::Cancelled`],
-    /// panicked trials as [`SimError::WorkerPanic`].
-    pub fn grid_budgeted<S: Simulator>(
-        &self,
-        sim: &S,
-        cases: &[TestCase],
-        keys: &[KeyBits],
-        opts: &SimOptions,
-        budget: &Budget,
     ) -> Vec<Vec<Result<SimStats, SimError>>> {
         let n_cases = cases.len();
         if n_cases == 0 || keys.is_empty() {
@@ -665,7 +411,6 @@ impl GridExec {
         let flat = self.run_cells(
             keys.len() * n_cases,
             n_cases,
-            budget,
             || sim.new_runner(),
             |runner, i| runner.run_case(&cases[i % n_cases], &keys[i / n_cases], opts),
         );
@@ -680,38 +425,6 @@ impl GridExec {
         }
         rows
     }
-}
-
-/// Drains per-worker buckets into index-ordered results (infallible
-/// paths: every slot is filled unless a worker panic is already
-/// propagating through `thread::scope`, which skips this entirely).
-fn collect_slots<T>(n: usize, buckets: Vec<Mutex<Vec<(usize, T)>>>) -> Vec<T> {
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    for bucket in buckets {
-        for (i, out) in unpoison(bucket.into_inner()) {
-            slots[i] = Some(out);
-        }
-    }
-    slots
-        .into_iter()
-        .map(|s| match s {
-            Some(v) => v,
-            None => unreachable!("every trial evaluated"),
-        })
-        .collect()
-}
-
-/// Drains per-worker cell buckets into index-ordered cells; slots no
-/// worker reached (budget exhausted) stay [`TrialCell::Skipped`].
-fn collect_cells<T>(n: usize, buckets: CellBuckets<T>) -> Vec<TrialCell<T>> {
-    let mut slots: Vec<TrialCell<T>> = Vec::with_capacity(n);
-    slots.resize_with(n, || TrialCell::Skipped);
-    for bucket in buckets {
-        for (i, cell) in unpoison(bucket.into_inner()) {
-            slots[i] = cell;
-        }
-    }
-    slots
 }
 
 #[cfg(test)]
@@ -832,14 +545,17 @@ mod tests {
     #[test]
     fn chunked_results_match_single_trial_stealing() {
         for threads in [1, 2, 5] {
+            let single: Vec<TrialCell<usize>> = GridExec::new(threads)
+                .run(20, || (), |_, i| 3 * i + 1)
+                .into_iter()
+                .map(TrialCell::Done)
+                .collect();
             for chunk in [1, 3, 4, 20, 100] {
-                let single = GridExec::new(threads).run(20, || (), |_, i| 3 * i + 1);
-                let chunked =
-                    GridExec::new(threads).run_chunked(20, chunk, || (), |_, i| 3 * i + 1);
+                let chunked = GridExec::new(threads).run_cells(20, chunk, || (), |_, i| 3 * i + 1);
                 assert_eq!(single, chunked, "threads={threads} chunk={chunk}");
             }
         }
-        assert!(GridExec::new(4).run_chunked(0, 7, || (), |_, i| i).is_empty());
+        assert!(GridExec::new(4).run_cells(0, 7, || (), |_, i| i).is_empty());
     }
 
     #[test]
@@ -887,9 +603,8 @@ mod tests {
 
     #[test]
     fn progress_totals_are_deterministic_at_any_worker_count() {
-        // Progress-on/obs-off routes through the instrumented twins
-        // (every obs call inert) and must stay bit-identical, with the
-        // same done/total at 1, 2 or 5 workers.
+        // Progress-on/obs-off (every obs call inert) must stay
+        // bit-identical, with the same done/total at 1, 2 or 5 workers.
         let sim = toy();
         let cases: Vec<TestCase> = (1..=5).map(|x| TestCase::args(&[x])).collect();
         let keys: Vec<KeyBits> = (0..8).map(|i| KeyBits::from_fn(1, || i & 1)).collect();
@@ -922,8 +637,8 @@ mod tests {
         let budget = Budget::unlimited();
         budget.cancel();
         let p = ProgressTracker::new(obs::ProgressBuffer::new());
-        let cells =
-            GridExec::new(2).with_progress(p.clone()).run_cells(6, 1, &budget, || (), |_, i| i);
+        let exec = GridExec::new(2).with_progress(p.clone()).with_budget(budget);
+        let cells = exec.run_cells(6, 1, || (), |_, i| i);
         assert!(cells.iter().all(|c| matches!(c, TrialCell::Skipped)));
         let snap = match p.snapshot() {
             Some(s) => s,
@@ -944,11 +659,9 @@ mod tests {
     fn a_panicking_trial_injures_only_its_own_slot() {
         crate::faultpoint::install_quiet_hook();
         for threads in [1, 2, 5] {
-            let budget = Budget::unlimited();
             let cells = GridExec::new(threads).run_cells(
                 10,
                 1,
-                &budget,
                 || (),
                 |_, i| {
                     assert!(i != 3 && i != 7, "trial {i} dies");
@@ -975,7 +688,8 @@ mod tests {
         let plan = FaultPlan::new().panic_at(sites::GRID_TRIAL, 4);
         for threads in [1, 2, 5] {
             let budget = Budget::unlimited().with_faults(plan.clone());
-            let cells = GridExec::new(threads).run_cells(8, 1, &budget, || (), |_, i| i + 100);
+            let exec = GridExec::new(threads).with_budget(budget.clone());
+            let cells = exec.run_cells(8, 1, || (), |_, i| i + 100);
             for (i, cell) in cells.iter().enumerate() {
                 if i == 4 {
                     assert!(matches!(cell, TrialCell::Panicked { .. }), "threads={threads}");
@@ -991,7 +705,8 @@ mod tests {
     fn cancellation_drains_to_a_prefix_on_one_worker() {
         let budget =
             Budget::unlimited().with_faults(FaultPlan::new().cancel_at(sites::GRID_TRIAL, 5));
-        let cells = GridExec::sequential().run_cells(12, 2, &budget, || (), |_, i| i);
+        let cells =
+            GridExec::sequential().with_budget(budget.clone()).run_cells(12, 2, || (), |_, i| i);
         assert!(budget.is_exceeded());
         // Chunk-granular drain: the chunk containing trial 5 completes,
         // everything after is skipped — a strict prefix.
@@ -1010,7 +725,7 @@ mod tests {
         for threads in [1, 2, 5] {
             let budget =
                 Budget::unlimited().with_faults(FaultPlan::new().cancel_at(sites::GRID_TRIAL, 4));
-            let rows = GridExec::new(threads).grid_budgeted(&sim, &cases, &keys, &opts, &budget);
+            let rows = GridExec::new(threads).with_budget(budget).grid(&sim, &cases, &keys, &opts);
             assert_eq!(rows.len(), keys.len());
             let mut completed = 0;
             for (k, row) in rows.iter().enumerate() {
@@ -1034,12 +749,11 @@ mod tests {
         let sim = toy();
         let budget = Budget::unlimited();
         budget.cancel();
-        let rows = GridExec::new(3).grid_budgeted(
+        let rows = GridExec::new(3).with_budget(budget).grid(
             &sim,
             &[TestCase::args(&[1])],
             &[KeyBits::zero(1), KeyBits::zero(1)],
             &SimOptions::default(),
-            &budget,
         );
         assert_eq!(rows, vec![vec![Err(SimError::Cancelled)], vec![Err(SimError::Cancelled)]]);
     }
@@ -1051,8 +765,8 @@ mod tests {
         let budget = Budget::unlimited().with_faults(
             FaultPlan::new().panic_at(sites::GRID_TRIAL, 1).cancel_at(sites::GRID_TRIAL, 2),
         );
-        let cells =
-            GridExec::sequential().with_obs(o.clone()).run_cells(6, 1, &budget, || (), |_, i| i);
+        let exec = GridExec::sequential().with_obs(o.clone()).with_budget(budget);
+        let cells = exec.run_cells(6, 1, || (), |_, i| i);
         assert_eq!(cells[0], TrialCell::Done(0));
         assert!(matches!(cells[1], TrialCell::Panicked { .. }));
         assert_eq!(cells[2], TrialCell::Done(2));
@@ -1067,8 +781,7 @@ mod tests {
         fn dying_factory() {
             panic!("factory dies")
         }
-        let budget = Budget::unlimited();
-        let cells = GridExec::sequential().run_cells(3, 1, &budget, dying_factory, |_, i| i);
+        let cells = GridExec::sequential().run_cells(3, 1, dying_factory, |_, i| i);
         assert!(cells
             .iter()
             .all(|c| matches!(c, TrialCell::Panicked { payload } if payload.contains("factory"))));
@@ -1077,16 +790,32 @@ mod tests {
     #[test]
     fn infallible_paths_still_propagate_trial_panics() {
         crate::faultpoint::install_quiet_hook();
+        for threads in [1, 2, 5] {
+            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                GridExec::new(threads).run(
+                    8,
+                    || (),
+                    |_, i| {
+                        assert!(i != 5, "trial 5 dies");
+                        i
+                    },
+                )
+            }));
+            let Err(payload) = caught else {
+                panic!("run() must re-raise a trial panic once every slot has run")
+            };
+            assert_eq!(payload_string(payload), "trial 5 dies", "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn a_budget_skip_under_run_panics_and_names_run_cells() {
+        let budget = Budget::unlimited();
+        budget.cancel();
         let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            GridExec::new(2).run(
-                8,
-                || (),
-                |_, i| {
-                    assert!(i != 5, "trial 5 dies");
-                    i
-                },
-            )
+            GridExec::new(2).with_budget(budget).run(4, || (), |_, i| i)
         }));
-        assert!(caught.is_err(), "run() must stay fail-fast");
+        let Err(payload) = caught else { panic!("a skipped slot has no value to return") };
+        assert!(payload_string(payload).contains("run_cells"));
     }
 }

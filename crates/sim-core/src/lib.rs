@@ -16,10 +16,12 @@
 //!   that executes one trial at a time while reusing its buffers.
 //! - [`grid`]: [`GridExec`], the work-stealing parallel executor that
 //!   shards (case × key) trials over worker threads with **one bound
-//!   runner per worker**. Results land in preallocated slots indexed by
-//!   trial, so the output is bit-identical for any worker count. Worker
-//!   bodies are panic-isolated: a dying trial becomes a per-slot
-//!   [`SimError::WorkerPanic`] cell, never a poisoned sweep.
+//!   runner per worker**. Results land in slots indexed by trial, so the
+//!   output is bit-identical for any worker count. One worker body
+//!   serves every entry point; it evaluates each trial panic-isolated (a
+//!   dying trial becomes a per-slot [`SimError::WorkerPanic`] cell, never
+//!   a poisoned sweep) and checks the executor's [`Budget`] before every
+//!   steal.
 //! - [`ctrl`]: the cooperative control plane — [`CancelToken`],
 //!   [`Deadline`] and the combined [`Budget`] handle that every
 //!   long-running loop (grid, SAT search, DIP attack, DSE) checks to

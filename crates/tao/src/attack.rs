@@ -24,7 +24,7 @@ pub use attack_sat::{
 use hls_core::{verilog, KeyBits};
 use hls_ir::ArrayId;
 use rtl::{images_equal, CompiledFsmd, OutputImage, SimOptions, TestCase};
-use sim_core::GridExec;
+use sim_core::{BatchRunner, GridExec, Simulator};
 use std::time::{Duration, Instant};
 use vlog::{VlogError, VlogSim};
 
@@ -86,16 +86,21 @@ pub struct BranchAttackOutcome {
 /// how many assignments survive; without the oracle (the paper's actual
 /// model) the attacker cannot even rank candidates.
 ///
-/// The candidate space is sharded over the shared [`sim_core::GridExec`]
-/// — one compiled tape plus one runner and key buffer per worker — and
-/// the outcome is identical for every worker count.
+/// `sim` is the design compiled for any simulation backend: a
+/// [`CompiledFsmd`] runs the model, a [`vlog::VlogTape::with_mems`]
+/// binding runs the *emitted Verilog text* and shows the
+/// foundry-visible artifact leaks exactly as much. The candidate space
+/// is sharded over the shared [`sim_core::GridExec`] — one runner and
+/// key buffer per worker — and the outcome is identical for every
+/// worker count.
 ///
 /// # Panics
 ///
 /// Panics if the design has more than 24 branch bits (enumeration is the
 /// point of this analysis, not a general solver).
-pub fn oracle_guided_branch_attack(
+pub fn oracle_guided_branch_attack<S: Simulator>(
     design: &LockedDesign,
+    sim: &S,
     correct_key: &KeyBits,
     cases: &[TestCase],
     oracle: &[OutputImage],
@@ -105,20 +110,19 @@ pub fn oracle_guided_branch_attack(
     let n = branch_bits.len();
     assert!(n <= 24, "branch enumeration limited to 24 bits, got {n}");
     // The enumeration runs the same design under thousands of candidate
-    // keys: compile to the tape backend once; every worker binds its own
-    // runner and rewrites one key buffer per stolen candidate. Workers
-    // steal contiguous candidate *chunks* and reduce each to a survivor
-    // count locally, so memory stays O(chunks) even at the 24-bit cap
-    // (a per-candidate result vector would be 2^24 entries).
+    // keys: every worker binds its own runner and rewrites one key buffer
+    // per stolen candidate. Workers steal contiguous candidate *chunks*
+    // and reduce each to a survivor count locally, so memory stays
+    // O(chunks) even at the 24-bit cap (a per-candidate result vector
+    // would be 2^24 entries).
     let total = 1u64 << n;
     let exec = GridExec::default();
     let n_chunks = (exec.workers_for(total as usize) * 8).min(total as usize);
     let chunk = total.div_ceil(n_chunks as u64);
     let truth = true_assignment(correct_key, &branch_bits);
-    let compiled = CompiledFsmd::compile(&design.fsmd);
     let parts: Vec<(u64, bool)> = exec.run(
         n_chunks,
-        || (compiled.runner(), correct_key.clone()),
+        || (sim.new_runner(), correct_key.clone()),
         |(runner, key), ci| {
             let (mut surviving, mut true_survives) = (0u64, false);
             for candidate in (ci as u64 * chunk)..((ci as u64 + 1) * chunk).min(total) {
@@ -147,10 +151,7 @@ pub fn oracle_guided_branch_attack(
 }
 
 /// Writes enumeration candidate `candidate` into the branch bits of
-/// `key` (bit `i` of the candidate drives `branch_bits[i]`). The one
-/// definition of the candidate encoding, shared by the parallel attack
-/// and the closure-driven [`oracle_guided_branch_attack_with`], so the
-/// two can never enumerate different spaces.
+/// `key` (bit `i` of the candidate drives `branch_bits[i]`).
 fn assign_candidate(key: &mut KeyBits, branch_bits: &[u32], candidate: u64) {
     for (i, &b) in branch_bits.iter().enumerate() {
         key.set_bit(b, (candidate >> i) & 1 == 1);
@@ -160,53 +161,6 @@ fn assign_candidate(key: &mut KeyBits, branch_bits: &[u32], candidate: u64) {
 /// The candidate index encoding the correct key's branch-bit values.
 fn true_assignment(correct_key: &KeyBits, branch_bits: &[u32]) -> u64 {
     branch_bits.iter().enumerate().map(|(i, &b)| (correct_key.bit(b) as u64) << i).sum()
-}
-
-/// [`oracle_guided_branch_attack`] generalized over the circuit executor:
-/// `run` produces the outputs a candidate key yields on a test case
-/// (`None` when the run does not terminate). The enumeration is
-/// sequential — the closure keeps whatever state it likes. Passing a
-/// `vlog`-backed closure runs the same enumeration against the *emitted
-/// Verilog text*, showing the attack surface of the foundry-visible
-/// artifact is identical to the model's.
-pub fn oracle_guided_branch_attack_with<F>(
-    design: &LockedDesign,
-    correct_key: &KeyBits,
-    cases: &[TestCase],
-    oracle: &[OutputImage],
-    mut run: F,
-) -> BranchAttackOutcome
-where
-    F: FnMut(&TestCase, &KeyBits) -> Option<OutputImage>,
-{
-    let branch_bits: Vec<u32> = design.plan.branch_bits.values().copied().collect();
-    let n = branch_bits.len();
-    assert!(n <= 24, "branch enumeration limited to 24 bits, got {n}");
-    let mut surviving = 0u64;
-    let mut true_survives = false;
-    let true_assignment = true_assignment(correct_key, &branch_bits);
-
-    // One key buffer for the whole enumeration: every branch bit is
-    // rewritten per candidate, so no per-trial clone is needed.
-    let mut key = correct_key.clone();
-    for candidate in 0..(1u64 << n) {
-        assign_candidate(&mut key, &branch_bits, candidate);
-        let ok = cases.iter().zip(oracle).all(|(case, want)| match run(case, &key) {
-            Some(img) => images_equal(want, &img),
-            None => false,
-        });
-        if ok {
-            surviving += 1;
-            if candidate == true_assignment {
-                true_survives = true;
-            }
-        }
-    }
-    BranchAttackOutcome {
-        candidates_tried: 1 << n,
-        candidates_surviving: surviving,
-        true_key_survives: true_survives,
-    }
 }
 
 /// The foundry's view *without* an oracle: for each branch bit, both
@@ -573,7 +527,8 @@ pub fn compare_attacks(
     let n_branch = design.plan.branch_bits.len();
     let (branch, branch_queries, branch_wall) = if n_branch > 0 && n_branch <= 24 {
         let t0 = Instant::now();
-        let out = oracle_guided_branch_attack(design, correct_key, cases, oracle, sim_opts);
+        let ctape = CompiledFsmd::compile(&design.fsmd);
+        let out = oracle_guided_branch_attack(design, &ctape, correct_key, cases, oracle, sim_opts);
         let queries = out.candidates_tried * cases.len() as u64;
         (Some(out), queries, t0.elapsed())
     } else {
@@ -644,7 +599,8 @@ mod tests {
             .collect();
         let oracle: Vec<_> = cases.iter().map(|c| golden_outputs(&d.module, "f", c)).collect();
         let opts = SimOptions { max_cycles: 100_000, snapshot_on_timeout: true };
-        let out = oracle_guided_branch_attack(&d, &wk, &cases, &oracle, &opts);
+        let ctape = CompiledFsmd::compile(&d.fsmd);
+        let out = oracle_guided_branch_attack(&d, &ctape, &wk, &cases, &oracle, &opts);
         // With I/O oracles, enumeration works: the true key survives and
         // the survivor set is tiny.
         assert!(out.true_key_survives);

@@ -48,10 +48,10 @@ mod variants;
 pub mod verify;
 
 pub use attack::{
-    compare_attacks, oracle_guided_branch_attack, oracle_guided_branch_attack_with,
-    sat_attack_design, sat_attack_design_portfolio, sensitize_branch_bits, AttackComparison,
-    BranchAttackOutcome, CnfSizes, ExhaustCause, IoConstraint, KeySpace, PortfolioOptions,
-    RacerReport, SatAttackConfig, SatAttackStatus, SatDesignAttack, SatPortfolioAttack,
+    compare_attacks, oracle_guided_branch_attack, sat_attack_design, sat_attack_design_portfolio,
+    sensitize_branch_bits, AttackComparison, BranchAttackOutcome, CnfSizes, ExhaustCause,
+    IoConstraint, KeySpace, PortfolioOptions, RacerReport, SatAttackConfig, SatAttackStatus,
+    SatDesignAttack, SatPortfolioAttack,
 };
 pub use branches::obfuscate_branches;
 pub use constants::obfuscate_constants;
@@ -60,7 +60,4 @@ pub use keymgmt::{KeyManagement, KeyMgmtError, KeyScheme};
 pub use plan::{KeyPlan, PlanConfig};
 pub use report::ObfuscationReport;
 pub use variants::{obfuscate_dfg_variants, VariantOptions};
-pub use verify::{
-    differential_verify, differential_verify_budgeted, standard_trials, BudgetedDifferential,
-    DifferentialReport, KeyTrial,
-};
+pub use verify::{differential_verify, standard_trials, DifferentialReport, KeyTrial};

@@ -8,9 +8,10 @@
 //!
 //! 1. the IR interpreter (`hls_ir::Interpreter`) — the golden software
 //!    specification;
-//! 2. the FSMD cycle simulator (`rtl::sim`) — the in-memory RTL model;
-//! 3. the Verilog-text simulator (`vlog`) — executing the *emitted* text,
-//!    the foundry-visible artifact.
+//! 2. the compiled FSMD tape (`rtl::CompiledFsmd`) — the in-memory RTL
+//!    model;
+//! 3. the compiled Verilog tape (`vlog::VlogTape`) — executing the
+//!    *emitted* text, the foundry-visible artifact.
 //!
 //! Layers 2 and 3 must agree **bit for bit and cycle for cycle on every
 //! key** — correct or wrong — including `CycleLimit` behaviour, because
@@ -24,7 +25,7 @@ use hls_core::{verilog, KeyBits};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rtl::{golden_outputs, images_equal, CompiledFsmd, OutputImage, SimOptions, TestCase};
-use sim_core::{Budget, GridExec, TrialCell};
+use sim_core::{GridExec, TrialCell};
 use std::fmt;
 use vlog::{VlogError, VlogTape};
 
@@ -88,14 +89,27 @@ pub struct DifferentialReport {
     pub timeouts: usize,
     /// Mean output-corruptibility Hamming fraction over wrong-key runs.
     pub avg_wrong_hd: f64,
+    /// `(trial, case)` pairs skipped because the executor's budget ran
+    /// out before they were stolen.
+    pub skipped: usize,
+    /// `(trial, case)` pairs whose worker body panicked; each carries its
+    /// own label in [`DifferentialReport::panic_labels`].
+    pub panics: usize,
+    /// `"{trial}/case-{c}"` coordinates of the panicked pairs.
+    pub panic_labels: Vec<String>,
+    /// The executor's budget was cancelled or expired during the sweep.
+    pub was_cancelled: bool,
 }
 
 impl DifferentialReport {
-    /// `true` when all three layers agreed everywhere they must.
+    /// `true` when every comparison ran and all three layers agreed
+    /// everywhere they must.
     pub fn is_clean(&self) -> bool {
         self.rtl_vlog_mismatches.is_empty()
             && self.golden_failures.is_empty()
             && self.wrong_key_clean == 0
+            && self.skipped == 0
+            && self.panics == 0
     }
 }
 
@@ -116,6 +130,12 @@ impl fmt::Display for DifferentialReport {
         )?;
         for m in self.rtl_vlog_mismatches.iter().chain(&self.golden_failures) {
             writeln!(f, "  ✗ {m}")?;
+        }
+        for label in &self.panic_labels {
+            writeln!(f, "  ✗ {label}: worker panicked")?;
+        }
+        if self.skipped > 0 {
+            writeln!(f, "  ✗ {} comparisons skipped by the budget", self.skipped)?;
         }
         Ok(())
     }
@@ -138,9 +158,9 @@ struct TrialOutcome {
 /// test case, on the FSMD simulator and on the emitted Verilog text, with
 /// the IR interpreter as golden reference for correct-key trials.
 ///
-/// The (case × trial) grid is sharded over the shared
-/// [`sim_core::GridExec`] with one pair of tape runners per worker; the
-/// report is bit-identical for every worker count.
+/// The (case × trial) grid is sharded over [`GridExec::default`] with
+/// one pair of tape runners per worker; the report is bit-identical for
+/// every worker count.
 ///
 /// # Errors
 ///
@@ -161,7 +181,11 @@ pub fn differential_verify(
 }
 
 /// [`differential_verify`] on an explicit executor (worker count of the
-/// caller's choosing; results are identical for every value).
+/// caller's choosing; results are identical for every value), under the
+/// executor's budget. A cancelled or expired sweep drains at chunk
+/// granularity and folds only the comparisons that completed, and a
+/// panicking trial injures only its own `(case, trial)` pair instead of
+/// the whole testbench; both leave the report unclean.
 ///
 /// # Errors
 ///
@@ -188,53 +212,17 @@ pub fn differential_verify_on(
     // outcomes in the report's case-major order.
     let n_cases = cases.len();
     let n_trials = trials.len();
-    let outcomes: Vec<TrialOutcome> = exec.run_chunked(
-        n_cases * n_trials,
-        n_cases.max(1),
-        || (ctape.runner(), vtape.runner()),
-        |(frun, vrun), i| {
-            compare_pair(frun, vrun, &cases[i % n_cases], &trials[i / n_cases], opts, design)
-        },
-    );
-    let cells = outcomes.into_iter().map(TrialCell::Done).collect();
-    Ok(fold_outcomes(design, cases, trials, &goldens, cells).report)
-}
-
-/// [`differential_verify_on`] under a cooperative [`Budget`]: a cancelled
-/// or expired sweep drains at chunk granularity and folds only the
-/// comparisons that completed, and a panicking trial injures only its own
-/// `(case, trial)` cell instead of the whole testbench.
-///
-/// # Errors
-///
-/// Returns [`VlogError`] when the emitted text fails to parse.
-pub fn differential_verify_budgeted(
-    design: &LockedDesign,
-    cases: &[TestCase],
-    trials: &[KeyTrial],
-    opts: &SimOptions,
-    exec: &GridExec,
-    budget: &Budget,
-) -> Result<BudgetedDifferential, VlogError> {
-    let text = verilog::emit(&design.fsmd);
-    let vtape = VlogTape::new(&text)?;
-    let ctape = CompiledFsmd::compile(&design.fsmd);
-    let goldens: Vec<OutputImage> =
-        cases.iter().map(|case| golden_outputs(&design.module, &design.top, case)).collect();
-    let n_cases = cases.len();
-    let n_trials = trials.len();
     let cells = exec.run_cells(
         n_cases * n_trials,
         n_cases.max(1),
-        budget,
         || (ctape.runner(), vtape.runner()),
         |(frun, vrun), i| {
             compare_pair(frun, vrun, &cases[i % n_cases], &trials[i / n_cases], opts, design)
         },
     );
-    let mut out = fold_outcomes(design, cases, trials, &goldens, cells);
-    out.was_cancelled = budget.is_exceeded();
-    Ok(out)
+    let mut report = fold_outcomes(design, cases, trials, &goldens, cells);
+    report.was_cancelled = exec.budget().is_exceeded();
+    Ok(report)
 }
 
 /// Runs one `(case, trial)` pair on both RTL layers and compares them.
@@ -291,44 +279,18 @@ fn compare_pair(
     }
 }
 
-/// A [`DifferentialReport`] over the comparisons that actually completed,
-/// plus the degradation tallies of a budgeted run.
-#[derive(Debug, Clone, Default)]
-pub struct BudgetedDifferential {
-    /// The fold over every completed `(case, trial)` comparison;
-    /// `comparisons` counts only those.
-    pub report: DifferentialReport,
-    /// Cells skipped because the budget ran out before they were stolen.
-    pub skipped: usize,
-    /// Cells whose worker body panicked; each carries its own label in
-    /// [`BudgetedDifferential::panic_labels`].
-    pub panics: usize,
-    /// `"{trial}/{case}"` coordinates of the panicked cells.
-    pub panic_labels: Vec<String>,
-    /// The governing budget was cancelled or expired during the sweep.
-    pub was_cancelled: bool,
-}
-
-impl BudgetedDifferential {
-    /// `true` when every comparison ran and all layers agreed.
-    pub fn is_clean(&self) -> bool {
-        self.report.is_clean() && self.skipped == 0 && self.panics == 0
-    }
-}
-
 /// Deterministic fold in (case-major, trial-minor) order — the same order
 /// the sequential loop reported in. Skipped and panicked cells are
-/// tallied, not folded.
+/// tallied, not folded; `comparisons` counts only completed pairs.
 fn fold_outcomes(
     design: &LockedDesign,
     cases: &[TestCase],
     trials: &[KeyTrial],
     goldens: &[OutputImage],
     cells: Vec<TrialCell<TrialOutcome>>,
-) -> BudgetedDifferential {
+) -> DifferentialReport {
     let (n_cases, n_trials) = (cases.len(), trials.len());
-    let mut out = BudgetedDifferential::default();
-    out.report.design = design.top.clone();
+    let mut report = DifferentialReport { design: design.top.clone(), ..Default::default() };
     let mut hd_sum = 0.0;
     let mut hd_n = 0usize;
     let mut cells: Vec<Option<TrialCell<TrialOutcome>>> = cells.into_iter().map(Some).collect();
@@ -338,16 +300,15 @@ fn fold_outcomes(
         let outcome = match cell {
             TrialCell::Done(o) => o,
             TrialCell::Panicked { .. } => {
-                out.panics += 1;
-                out.panic_labels.push(format!("{}/case-{c}", trial.label));
+                report.panics += 1;
+                report.panic_labels.push(format!("{}/case-{c}", trial.label));
                 continue;
             }
             TrialCell::Skipped => {
-                out.skipped += 1;
+                report.skipped += 1;
                 continue;
             }
         };
-        let report = &mut out.report;
         report.comparisons += 1;
         if let Some(m) = outcome.mismatch {
             report.rtl_vlog_mismatches.push(m);
@@ -379,8 +340,8 @@ fn fold_outcomes(
             report.wrong_key_corrupted += 1;
         }
     }
-    out.report.avg_wrong_hd = if hd_n > 0 { hd_sum / hd_n as f64 } else { 0.0 };
-    out
+    report.avg_wrong_hd = if hd_n > 0 { hd_sum / hd_n as f64 } else { 0.0 };
+    report
 }
 
 #[cfg(test)]
@@ -446,26 +407,6 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_differential_with_unlimited_budget_matches_the_plain_run() {
-        let m = hls_frontend::compile(KERNEL, "t").unwrap();
-        let lk = locking(13);
-        let d = lock(&m, "fir", &lk, &TaoOptions::default()).unwrap();
-        let cases = [TestCase::args(&[2, 7]), TestCase::args(&[0, 1])];
-        let trials = standard_trials(&d, &lk, 4, 0xabc);
-        let opts = SimOptions { max_cycles: 200_000, snapshot_on_timeout: true };
-        let exec = GridExec::new(2);
-        let plain = differential_verify_on(&d, &cases, &trials, &opts, &exec).unwrap();
-        let budgeted =
-            differential_verify_budgeted(&d, &cases, &trials, &opts, &exec, &Budget::unlimited())
-                .unwrap();
-        assert!(budgeted.is_clean(), "{:?}", budgeted);
-        assert!(!budgeted.was_cancelled);
-        assert_eq!(budgeted.report.comparisons, plain.comparisons);
-        assert_eq!(budgeted.report.wrong_key_corrupted, plain.wrong_key_corrupted);
-        assert_eq!(budgeted.report.avg_wrong_hd.to_bits(), plain.avg_wrong_hd.to_bits());
-    }
-
-    #[test]
     fn a_pre_cancelled_differential_folds_nothing_and_says_so() {
         let m = hls_frontend::compile(KERNEL, "t").unwrap();
         let lk = locking(17);
@@ -473,13 +414,12 @@ mod tests {
         let cases = [TestCase::args(&[3, 4])];
         let trials = standard_trials(&d, &lk, 2, 0xfee);
         let opts = SimOptions { max_cycles: 200_000, snapshot_on_timeout: true };
-        let budget = Budget::unlimited();
+        let budget = sim_core::Budget::unlimited();
         budget.cancel();
-        let out =
-            differential_verify_budgeted(&d, &cases, &trials, &opts, &GridExec::new(2), &budget)
-                .unwrap();
+        let exec = GridExec::new(2).with_budget(budget);
+        let out = differential_verify_on(&d, &cases, &trials, &opts, &exec).unwrap();
         assert!(out.was_cancelled);
-        assert_eq!(out.report.comparisons, 0);
+        assert_eq!(out.comparisons, 0);
         assert_eq!(out.skipped, cases.len() * trials.len());
         assert!(!out.is_clean(), "skipped work must not read as a clean verdict");
     }

@@ -347,46 +347,6 @@ impl VlogTape {
         })
     }
 
-    /// Batch convenience: every key × every case on one reused runner.
-    /// Returns `grid[k][c]` for key `k` and case `c`. `mem_of_array`
-    /// maps the cases' IR array ids onto this design's memories (as in
-    /// [`crate::vlog_outputs`]).
-    ///
-    /// This is a thin wrapper over the sequential
-    /// [`sim_core::GridExec`]; pass [`VlogTape::with_mems`] to a
-    /// parallel executor directly to shard the same grid over worker
-    /// threads with bit-identical results.
-    pub fn simulate_many(
-        &self,
-        cases: &[TestCase],
-        keys: &[KeyBits],
-        opts: &SimOptions,
-        mem_of_array: &BTreeMap<hls_ir::ArrayId, hls_core::MemIdx>,
-    ) -> Vec<Vec<Result<SimStats, SimError>>> {
-        sim_core::GridExec::sequential().grid(&self.with_mems(mem_of_array), cases, keys, opts)
-    }
-
-    /// [`VlogTape::simulate_many`] under a cooperative
-    /// [`sim_core::Budget`]: a cancelled or expired sweep drains at the
-    /// next key boundary and reports the unvisited slots as
-    /// [`sim_core::SimError::Cancelled`] instead of vanishing.
-    pub fn simulate_many_budgeted(
-        &self,
-        cases: &[TestCase],
-        keys: &[KeyBits],
-        opts: &SimOptions,
-        mem_of_array: &BTreeMap<hls_ir::ArrayId, hls_core::MemIdx>,
-        budget: &sim_core::Budget,
-    ) -> Vec<Vec<Result<SimStats, SimError>>> {
-        sim_core::GridExec::sequential().grid_budgeted(
-            &self.with_mems(mem_of_array),
-            cases,
-            keys,
-            opts,
-            budget,
-        )
-    }
-
     /// Binds this tape to a design's `ArrayId → MemIdx` map, yielding a
     /// [`GridTape`] that implements the shared [`sim_core::Simulator`]
     /// contract. The map is the missing half of the grid interface: test
@@ -402,7 +362,7 @@ impl VlogTape {
 
 /// A [`VlogTape`] bound to a design's array-to-memory map — the form in
 /// which the Verilog backend enters the shared [`sim_core`] grid
-/// machinery ([`sim_core::GridExec::grid`] and friends). Create with
+/// machinery ([`sim_core::GridExec::grid`]). Create with
 /// [`VlogTape::with_mems`].
 #[derive(Debug, Clone, Copy)]
 pub struct GridTape<'a> {
@@ -2382,11 +2342,17 @@ mod tests {
     }
 
     #[test]
-    fn simulate_many_matches_singles() {
+    fn sequential_grid_matches_singles() {
         let tape = VlogTape::new(COUNTER).unwrap();
         let cases = [TestCase::args(&[3]), TestCase::args(&[9])];
         let keys = [KeyBits::zero(0)];
-        let grid = tape.simulate_many(&cases, &keys, &SimOptions::default(), &BTreeMap::new());
+        let mems = BTreeMap::new();
+        let grid = sim_core::GridExec::sequential().grid(
+            &tape.with_mems(&mems),
+            &cases,
+            &keys,
+            &SimOptions::default(),
+        );
         for (case, got) in cases.iter().zip(&grid[0]) {
             let want = tape.simulate(&case.args, &keys[0], &[], &SimOptions::default()).unwrap();
             assert_eq!(got.as_ref().unwrap().ret, want.ret);

@@ -7,7 +7,7 @@
 //! ```
 
 use hls_core::KeyBits;
-use rtl::{golden_outputs, SimOptions, TestCase};
+use rtl::{golden_outputs, CompiledFsmd, SimOptions, TestCase};
 use tao::{KeySpace, PlanConfig, TaoOptions};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -46,7 +46,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
     let oracle: Vec<_> = cases.iter().map(|c| golden_outputs(&d.module, bench.top, c)).collect();
     let opts = SimOptions { max_cycles: 300_000, snapshot_on_timeout: true };
-    let out = tao::oracle_guided_branch_attack(&d, &wk, &cases, &oracle, &opts);
+    let ctape = CompiledFsmd::compile(&d.fsmd);
+    let out = tao::oracle_guided_branch_attack(&d, &ctape, &wk, &cases, &oracle, &opts);
     println!(
         "\nwith an oracle: {}/{} branch-bit candidates survive (true key among them: {})",
         out.candidates_surviving, out.candidates_tried, out.true_key_survives

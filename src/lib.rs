@@ -85,7 +85,7 @@
 //! errors and `CycleLimit` snapshots included — and expose batch
 //! runners that reuse every buffer across runs: compile once, then
 //! [`rtl::FsmdRunner::run_case`] / [`vlog::TapeRunner::run_case`] (or
-//! the `simulate_many` grid helpers) per trial.
+//! a [`sim_core::GridExec::grid`] over the compiled design) per trial.
 //!
 //! A third FSMD backend, [`rtl::SpecFsmd`], goes one step further:
 //! when a key is bound it *re-lowers* the tape into threaded code
@@ -232,7 +232,7 @@
 //!
 //! // All cores, one runner per worker — same grid, any worker count.
 //! let par = GridExec::default().grid(&ctape, &cases, &keys, &SimOptions::default());
-//! assert_eq!(par, ctape.simulate_many(&cases, &keys, &SimOptions::default()));
+//! assert_eq!(par, GridExec::sequential().grid(&ctape, &cases, &keys, &SimOptions::default()));
 //! assert_eq!(par[0][3].as_ref().unwrap().ret, Some(16));
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -270,22 +270,29 @@
 //! let token = budget.token().clone(); // hand this to a watchdog thread…
 //! token.cancel();                     // …which decides to pull the plug
 //!
-//! // The sweep drains gracefully: every slot still reports, as Cancelled.
-//! let rows = GridExec::new(2).grid_budgeted(&ctape, &cases, &keys, &SimOptions::default(), &budget);
+//! // The executor carries the budget. The sweep drains gracefully:
+//! // every slot still reports, as Cancelled.
+//! let exec = GridExec::new(2).with_budget(budget);
+//! let rows = exec.grid(&ctape, &cases, &keys, &SimOptions::default());
 //! assert_eq!(rows.len(), keys.len());
 //! assert!(rows.iter().flatten().all(|r| matches!(r, Err(SimError::Cancelled))));
 //!
 //! // An unlimited budget is the plain grid, bit for bit.
-//! let fresh = Budget::unlimited();
-//! let full = GridExec::new(2).grid_budgeted(&ctape, &cases, &keys, &SimOptions::default(), &fresh);
-//! assert_eq!(full, GridExec::new(2).grid(&ctape, &cases, &keys, &SimOptions::default()));
+//! let full = GridExec::new(2).with_budget(Budget::unlimited());
+//! assert_eq!(
+//!     full.grid(&ctape, &cases, &keys, &SimOptions::default()),
+//!     GridExec::new(2).grid(&ctape, &cases, &keys, &SimOptions::default())
+//! );
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
 //! Deadlines compose the same way (`Budget::unlimited()
-//! .with_deadline_after(dur)`), and [`tao::SatAttackConfig`],
-//! [`attack_sat::SatAttackOptions`] and [`hls_dse::DseOptions`] all
-//! carry a `budget` field that forwards into their inner loops.
+//! .with_deadline_after(dur)`). The grid executor takes its budget
+//! through [`sim_core::GridExec::with_budget`] (so
+//! [`tao::verify::differential_verify_on`] runs under its executor's),
+//! and [`tao::SatAttackConfig`], [`attack_sat::SatAttackOptions`] and
+//! [`hls_dse::DseOptions`] all carry a `budget` field that forwards into
+//! their inner loops.
 //!
 //! ## Observability
 //!

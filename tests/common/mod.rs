@@ -1,10 +1,13 @@
 //! Shared helpers for the integration/property test suites: a seeded
 //! random-program generator for the C subset, used to differentially test
 //! the whole pipeline (interpreter vs optimizer vs FSMD simulator vs
-//! locked design).
+//! locked design), and the executor-free reference grid the parallel
+//! grid properties compare against.
 
+use hls_core::KeyBits;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use sim_core::{BatchRunner, SimError, SimOptions, SimStats, Simulator, TestCase};
 use std::fmt::Write as _;
 
 /// A generated program plus the variables available at top scope.
@@ -209,6 +212,22 @@ impl GenCtx<'_> {
             }
         }
     }
+}
+
+/// The (case × key) grid as a plain nested loop on one runner, with no
+/// executor: `grid[k][c]` for key `k` and case `c`. The reference that
+/// `sim_core::GridExec` grids are checked against, so a bug in the
+/// executor's one-worker path cannot hide in both sides of a comparison.
+pub fn reference_grid<S: Simulator>(
+    sim: &S,
+    cases: &[TestCase],
+    keys: &[KeyBits],
+    opts: &SimOptions,
+) -> Vec<Vec<Result<SimStats, SimError>>> {
+    let mut runner = sim.new_runner();
+    keys.iter()
+        .map(|key| cases.iter().map(|case| runner.run_case(case, key, opts)).collect())
+        .collect()
 }
 
 /// Interprets `f(a, b, c)` in a module, returning the 32-bit result.

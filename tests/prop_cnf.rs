@@ -15,7 +15,8 @@
 //! division guards, shifts, multi-cycle pipelines, variant dispatch)
 //! without large solver instances.
 
-// `run_golden` is for the sibling suites; this one only generates.
+// `run_golden` and `reference_grid` are for the sibling suites; this one
+// only generates.
 #[allow(dead_code)]
 mod common;
 

@@ -11,11 +11,11 @@
 //!   bit-identical to their full-run counterparts and whose Pareto set
 //!   is exactly the front over the completed subset.
 
-// `run_golden` is for the sibling suites; this one only generates.
+// `run_golden` is for the sibling suites.
 #[allow(dead_code)]
 mod common;
 
-use common::gen_program;
+use common::{gen_program, reference_grid};
 use hls_core::KeyBits;
 use proptest::prelude::*;
 use rtl::{CompiledFsmd, SimError, SimOptions, TestCase};
@@ -59,14 +59,15 @@ const OPTS: SimOptions = SimOptions { max_cycles: 200_000, snapshot_on_timeout: 
 /// blast radius is exactly that slot, at worker counts 1, 2 and 5.
 fn assert_panic_isolated(f: &Fixture, seed: u64, ctx: &str) {
     let ctape = CompiledFsmd::compile(&f.design.fsmd);
-    let reference = ctape.simulate_many(&f.cases, &f.keys, &OPTS);
+    let reference = reference_grid(&ctape, &f.cases, &f.keys, &OPTS);
     let n_cases = f.cases.len();
     let total = n_cases * f.keys.len();
     let coord = seed % total as u64;
     for workers in [1usize, 2, 5] {
         let plan = FaultPlan::new().panic_at(sites::GRID_TRIAL, coord);
         let budget = Budget::unlimited().with_faults(plan);
-        let rows = GridExec::new(workers).grid_budgeted(&ctape, &f.cases, &f.keys, &OPTS, &budget);
+        let exec = GridExec::new(workers).with_budget(budget.clone());
+        let rows = exec.grid(&ctape, &f.cases, &f.keys, &OPTS);
         for (i, got) in rows.iter().flatten().enumerate() {
             if i as u64 == coord {
                 match got {
@@ -98,14 +99,15 @@ fn assert_panic_isolated(f: &Fixture, seed: u64, ctx: &str) {
 /// run at every worker count.
 fn assert_cancel_consistent(f: &Fixture, seed: u64, ctx: &str) {
     let ctape = CompiledFsmd::compile(&f.design.fsmd);
-    let reference = ctape.simulate_many(&f.cases, &f.keys, &OPTS);
+    let reference = reference_grid(&ctape, &f.cases, &f.keys, &OPTS);
     let n_cases = f.cases.len();
     let total = n_cases * f.keys.len();
     let coord = seed % total as u64;
     for workers in [1usize, 2, 5] {
         let plan = FaultPlan::new().cancel_at(sites::GRID_TRIAL, coord);
         let budget = Budget::unlimited().with_faults(plan);
-        let rows = GridExec::new(workers).grid_budgeted(&ctape, &f.cases, &f.keys, &OPTS, &budget);
+        let exec = GridExec::new(workers).with_budget(budget.clone());
+        let rows = exec.grid(&ctape, &f.cases, &f.keys, &OPTS);
         let flat: Vec<_> = rows.iter().flatten().collect();
         assert_eq!(flat.len(), total, "every slot still reported ({ctx})");
         let mut done = 0usize;

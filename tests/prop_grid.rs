@@ -1,19 +1,19 @@
 //! Property-based tests of the shared (case × key) grid executor: for
 //! randomly generated kernels, stimuli and keys, the parallel grid must
 //! be **bit-identical and identically ordered** for every worker count
-//! (1, 2, N) and equal to the sequential `simulate_many` batch path, on
-//! both tape backends — including error outcomes (`CycleLimit`,
-//! interface mismatches) and snapshot-on-timeout runs.
+//! (1, 2, N) and equal to a plain nested `run_case` loop with no
+//! executor, on both tape backends — including error outcomes
+//! (`CycleLimit`, interface mismatches) and snapshot-on-timeout runs.
 
-// `run_golden` is for the sibling suites; this one only generates.
+// `run_golden` is for the sibling suites.
 #[allow(dead_code)]
 mod common;
 
-use common::gen_program;
+use common::{gen_program, reference_grid};
 use hls_core::{verilog, KeyBits};
 use proptest::prelude::*;
 use rtl::{CompiledFsmd, SimError, SimOptions, TestCase};
-use sim_core::GridExec;
+use sim_core::{GridExec, TrialCell};
 use vlog::VlogTape;
 
 fn locking_key(seed: u64) -> KeyBits {
@@ -56,10 +56,10 @@ fn fixture(seed: u64) -> GridFixture {
 }
 
 /// Asserts the grid is identical across worker counts and equal to the
-/// sequential batch path, on both tape backends.
+/// executor-free reference loop, on both tape backends.
 fn assert_grid_deterministic(f: &GridFixture, opts: &SimOptions, ctx: &str) {
     let ctape = CompiledFsmd::compile(&f.design.fsmd);
-    let seq = ctape.simulate_many(&f.cases, &f.keys, opts);
+    let seq = reference_grid(&ctape, &f.cases, &f.keys, opts);
     assert_eq!(seq.len(), f.keys.len(), "{ctx}");
     for workers in [1usize, 2, 5] {
         let par = GridExec::new(workers).grid(&ctape, &f.cases, &f.keys, opts);
@@ -67,8 +67,8 @@ fn assert_grid_deterministic(f: &GridFixture, opts: &SimOptions, ctx: &str) {
     }
 
     let vtape = VlogTape::new(&verilog::emit(&f.design.fsmd)).expect("emitted text parses");
-    let vseq = vtape.simulate_many(&f.cases, &f.keys, opts, &f.design.fsmd.mem_of_array);
     let bound = vtape.with_mems(&f.design.fsmd.mem_of_array);
+    let vseq = reference_grid(&bound, &f.cases, &f.keys, opts);
     for workers in [1usize, 2, 5] {
         let par = GridExec::new(workers).grid(&bound, &f.cases, &f.keys, opts);
         assert_eq!(par, vseq, "vlog grid diverged at {workers} workers: {ctx}");
@@ -94,10 +94,10 @@ fn assert_grid_deterministic(f: &GridFixture, opts: &SimOptions, ctx: &str) {
     // divide the trial count.
     let n = f.keys.len() * f.cases.len();
     let n_cases = f.cases.len();
-    let flat_seq: Vec<_> = seq.iter().flatten().cloned().collect();
+    let flat_seq: Vec<_> = seq.iter().flatten().cloned().map(TrialCell::Done).collect();
     for workers in [3usize] {
         for chunk in [1usize, n_cases, n_cases + 1] {
-            let flat = GridExec::new(workers).run_chunked(
+            let flat = GridExec::new(workers).run_cells(
                 n,
                 chunk,
                 || ctape.runner(),

@@ -8,6 +8,8 @@
 //!    from the baseline in results and cycle count;
 //! 4. the whole flow is deterministic.
 
+// `reference_grid` is for the grid suites.
+#[allow(dead_code)]
 mod common;
 
 use common::{gen_program, run_golden};

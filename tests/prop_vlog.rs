@@ -13,6 +13,8 @@
 //! token mutations of emitted paper-kernel texts, and declarations sized
 //! to overflow it, give an `Ok` or an error, never a panic.
 
+// `reference_grid` is for the grid suites.
+#[allow(dead_code)]
 mod common;
 
 use common::{gen_program, run_golden};

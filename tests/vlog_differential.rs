@@ -6,9 +6,11 @@
 //! golden outputs and every wrong key corrupts them.
 
 use hls_core::{verilog, KeyBits};
-use rtl::{golden_outputs, images_equal, rtl_outputs, SimError, SimOptions, TestCase};
+use rtl::{
+    golden_outputs, images_equal, rtl_outputs, CompiledFsmd, SimError, SimOptions, TestCase,
+};
 use tao::{differential_verify, standard_trials, TaoOptions};
-use vlog::{vlog_outputs, VlogSim};
+use vlog::{vlog_outputs, VlogSim, VlogTape};
 
 fn locking_key(seed: u64) -> KeyBits {
     let mut s = seed | 1;
@@ -173,18 +175,17 @@ fn oracle_attack_surface_is_identical_on_the_emitted_text() {
         ..TaoOptions::default()
     };
     let d = tao::lock(&m, "g", &lk, &opts).unwrap();
-    let sim = VlogSim::new(&verilog::emit(&d.fsmd)).unwrap();
+    let ctape = CompiledFsmd::compile(&d.fsmd);
+    let vtape = VlogTape::new(&verilog::emit(&d.fsmd)).unwrap();
+    let vsim = vtape.with_mems(&d.fsmd.mem_of_array);
     let wk = d.working_key(&lk);
     let cases: Vec<TestCase> =
         [[3u64, 15], [40, 2], [7, 7]].iter().map(|a| TestCase::args(a)).collect();
     let oracle: Vec<_> = cases.iter().map(|c| golden_outputs(&d.module, "g", c)).collect();
     let budget = SimOptions { max_cycles: 100_000, snapshot_on_timeout: true };
 
-    let fsmd_outcome = tao::oracle_guided_branch_attack(&d, &wk, &cases, &oracle, &budget);
-    let vlog_outcome =
-        tao::oracle_guided_branch_attack_with(&d, &wk, &cases, &oracle, |case, key| {
-            vlog_outputs(&sim, case, key, &budget, &d.fsmd.mem_of_array).ok().map(|(img, _)| img)
-        });
+    let fsmd_outcome = tao::oracle_guided_branch_attack(&d, &ctape, &wk, &cases, &oracle, &budget);
+    let vlog_outcome = tao::oracle_guided_branch_attack(&d, &vsim, &wk, &cases, &oracle, &budget);
     assert_eq!(fsmd_outcome, vlog_outcome);
     assert!(vlog_outcome.true_key_survives);
 }
