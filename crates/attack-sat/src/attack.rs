@@ -18,7 +18,7 @@
 //! language by construction.
 
 use crate::bitvec::Bv;
-use crate::encode::{CoiReport, EncInputs, Encoder, KeyLits, UnrollState, Unrolling};
+use crate::encode::{EncInputs, Encoder, KeyLits, UnrollState, Unrolling};
 use hls_core::KeyBits;
 use sat::{Gates, Lit, SolveOutcome, SolverConfig};
 use sim_core::ctrl::{Budget, CancelKind};
@@ -64,11 +64,6 @@ pub struct SatAttackOptions {
     /// frame. Set equal to `unroll_cycles` to recover the eager
     /// pay-max-latency-upfront encoding.
     pub initial_unroll: u32,
-    /// Also encode a scratch *unpruned* miter at the final depth so the
-    /// outcome reports CNF size before vs after cone-of-influence
-    /// pruning ([`SatAttackOutcome::miter_cnf`]). Off by default — it
-    /// costs one extra (unsolved) encoding pass.
-    pub measure_full_cnf: bool,
     /// Stop after this many DIPs (`None` = until collapse).
     pub max_dips: Option<u64>,
     /// Total solver conflict budget across all calls (`None` = unbounded).
@@ -103,7 +98,6 @@ impl Default for SatAttackOptions {
         SatAttackOptions {
             unroll_cycles: 64,
             initial_unroll: 8,
-            measure_full_cnf: false,
             max_dips: None,
             conflict_budget: None,
             step_budget: None,
@@ -176,22 +170,6 @@ pub struct IoConstraint {
     pub response: OracleResponse,
 }
 
-/// Miter CNF size at the final unroll depth, with and without
-/// cone-of-influence pruning (both measured on a scratch two-copy miter
-/// at the same depth, so the comparison isolates the encoder win from
-/// accumulated constraint growth).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CnfSizes {
-    /// Variables in the COI-pruned miter.
-    pub coi_vars: usize,
-    /// Clauses in the COI-pruned miter.
-    pub coi_clauses: usize,
-    /// Variables in the unpruned (full-netlist) miter.
-    pub full_vars: usize,
-    /// Clauses in the unpruned miter.
-    pub full_clauses: usize,
-}
-
 /// The attack's result and effort counters.
 #[derive(Debug, Clone)]
 pub struct SatAttackOutcome {
@@ -202,8 +180,6 @@ pub struct SatAttackOutcome {
     pub key: Option<KeyBits>,
     /// Distinguishing inputs found.
     pub dips: u64,
-    /// Oracle queries issued (= DIPs; probe queries are the caller's).
-    pub queries: u64,
     /// Solver conflicts across all solve calls.
     pub conflicts: u64,
     /// Solver propagations across all solve calls.
@@ -220,11 +196,6 @@ pub struct SatAttackOutcome {
     pub unroll_final: u32,
     /// How many times the unrolling grew past its starting depth.
     pub growths: u64,
-    /// How much of the netlist survived cone-of-influence pruning.
-    pub coi: CoiReport,
-    /// Miter CNF size before vs after COI pruning at the final depth
-    /// (only when [`SatAttackOptions::measure_full_cnf`] was set).
-    pub miter_cnf: Option<CnfSizes>,
     /// Wall-clock time of the whole loop (encoding + solving + oracle).
     pub wall: Duration,
     /// Every (DIP, oracle label) pair accumulated, in discovery order —
@@ -636,47 +607,20 @@ impl<'a> AttackEngine<'a> {
         constraints: Vec<IoConstraint>,
     ) -> SatAttackOutcome {
         let stats = self.g.solver_ref().stats();
-        let miter_cnf = if self.opts.measure_full_cnf {
-            Some(measure_miter_cnf(self.enc.design(), self.depth()))
-        } else {
-            None
-        };
         SatAttackOutcome {
             status,
             key,
             dips: self.dips,
-            queries: self.dips,
             conflicts: stats.conflicts,
             propagations: stats.propagations,
             vars: self.g.solver_ref().num_vars(),
             clauses: self.g.solver_ref().num_clauses(),
             unroll_final: self.depth(),
             growths: self.growths,
-            coi: self.enc.coi(),
-            miter_cnf,
             wall,
             constraints,
         }
     }
-}
-
-/// Scratch two-copy miters at depth `k`, COI-pruned and full, for the
-/// before/after encoder comparison. Nothing is solved.
-fn measure_miter_cnf(sim: &VlogSim, k: u32) -> CnfSizes {
-    let size_with = |enc: &Encoder| {
-        let mut g = Gates::new();
-        let inputs = enc.fresh_inputs(&mut g);
-        let key_a = KeyLits::fresh(&mut g, sim);
-        let key_b = KeyLits::fresh(&mut g, sim);
-        let ua = enc.unroll(&mut g, k, &inputs, &key_a);
-        let ub = enc.unroll(&mut g, k, &inputs, &key_b);
-        let diff = observable_diff(&mut g, &ua, &ub);
-        g.assert_true(diff);
-        (g.solver_ref().num_vars(), g.solver_ref().num_clauses())
-    };
-    let (coi_vars, coi_clauses) = size_with(&Encoder::new(sim));
-    let (full_vars, full_clauses) = size_with(&Encoder::full(sim));
-    CnfSizes { coi_vars, coi_clauses, full_vars, full_clauses }
 }
 
 /// The miter's difference observable: the two copies disagree on

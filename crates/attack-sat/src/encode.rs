@@ -122,72 +122,16 @@ enum Upd {
     Mem { mem: usize, idx: Bv, val: Bv, guard: Lit },
 }
 
-/// Cone-of-influence summary: how much of the elaborated netlist
-/// survives pruning to the transitive fan-in of the observables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CoiReport {
-    /// Signals in the elaborated netlist.
-    pub total_sigs: usize,
-    /// Signals in the cone of influence of `(done, ret, output mems)`.
-    pub live_sigs: usize,
-    /// Memories in the elaborated netlist.
-    pub total_mems: usize,
-    /// Memories in the cone of influence.
-    pub live_mems: usize,
-}
-
 /// The netlist-to-CNF encoder for one elaborated design.
-///
-/// [`Encoder::new`] slices the netlist to the cone of influence of the
-/// observables (`done`, `ret`, external written memories): assignments
-/// to signals and memories that can never reach an observable are
-/// skipped during unrolling, shrinking the CNF without changing the
-/// observable surface. [`Encoder::full`] keeps the whole netlist (the
-/// reference encoding the property suite compares against).
 #[derive(Debug, Clone)]
 pub struct Encoder<'a> {
     sim: &'a VlogSim,
-    live_sigs: Vec<bool>,
-    live_mems: Vec<bool>,
-}
-
-/// Transitive-dependency accumulator for the COI walk.
-#[derive(Default, Clone)]
-struct Deps {
-    sigs: Vec<usize>,
-    mems: Vec<usize>,
 }
 
 impl<'a> Encoder<'a> {
-    /// An encoder over an elaborated design, sliced to the cone of
-    /// influence of the observables.
+    /// An encoder over an elaborated design.
     pub fn new(sim: &'a VlogSim) -> Encoder<'a> {
-        let (live_sigs, live_mems) = compute_coi(sim);
-        Encoder { sim, live_sigs, live_mems }
-    }
-
-    /// An encoder that keeps the whole netlist (no COI pruning).
-    pub fn full(sim: &'a VlogSim) -> Encoder<'a> {
-        Encoder {
-            sim,
-            live_sigs: vec![true; sim.sigs().len()],
-            live_mems: vec![true; sim.cmems().len()],
-        }
-    }
-
-    /// The design this encoder walks.
-    pub fn design(&self) -> &'a VlogSim {
-        self.sim
-    }
-
-    /// How much of the netlist this encoder keeps.
-    pub fn coi(&self) -> CoiReport {
-        CoiReport {
-            total_sigs: self.live_sigs.len(),
-            live_sigs: self.live_sigs.iter().filter(|&&b| b).count(),
-            total_mems: self.live_mems.len(),
-            live_mems: self.live_mems.iter().filter(|&&b| b).count(),
-        }
+        Encoder { sim }
     }
 
     /// Memory ids whose initial contents are attacker inputs: external,
@@ -411,9 +355,6 @@ impl<'a> Encoder<'a> {
         if g.is_const(guard, false) {
             return; // dead path: nothing can commit
         }
-        if !self.stmt_live(s) {
-            return; // outside the cone of influence: skip guards and all
-        }
         match s {
             CStmt::Block(body) => {
                 for s in body {
@@ -466,22 +407,6 @@ impl<'a> Encoder<'a> {
                 ups.push(Upd::Mem { mem: *mem, idx, val, guard });
             }
             CStmt::Null => {}
-        }
-    }
-
-    /// Does this subtree commit to any signal or memory in the cone of
-    /// influence? Subtrees that don't are skipped wholesale — their
-    /// guards never cost gates.
-    fn stmt_live(&self, s: &CStmt) -> bool {
-        match s {
-            CStmt::Block(body) => body.iter().any(|s| self.stmt_live(s)),
-            CStmt::If { then_s, else_s, .. } => {
-                self.stmt_live(then_s) || else_s.as_deref().is_some_and(|e| self.stmt_live(e))
-            }
-            CStmt::Case { arms, .. } => arms.iter().any(|a| self.stmt_live(a)),
-            CStmt::AssignSig { id, .. } => self.live_sigs[*id],
-            CStmt::AssignMem { mem, .. } => self.live_mems[*mem],
-            CStmt::Null => false,
         }
     }
 
@@ -811,153 +736,6 @@ fn merge_frozen(g: &mut Gates, done_any: Lit, frozen: &St, next: St) -> St {
             .map(|(fm, nm)| fm.iter().zip(nm).map(|(f, n)| f.mux(g, done_any, n)).collect())
             .collect(),
     }
-}
-
-/// Dependencies of one expression: every signal and memory it reads
-/// (wires count as signal reads here; the fixpoint expands them).
-fn expr_deps(e: &CExpr, d: &mut Deps) {
-    match e {
-        CExpr::Const { .. } => {}
-        CExpr::Sig { id, .. } => d.sigs.push(*id),
-        CExpr::SelBit { id, index } => {
-            d.sigs.push(*id);
-            expr_deps(index, d);
-        }
-        CExpr::SelMem { mem, index, .. } => {
-            d.mems.push(*mem);
-            expr_deps(index, d);
-        }
-        CExpr::PartSig { id, .. } => d.sigs.push(*id),
-        CExpr::Unary { a, .. } | CExpr::Signed(a) | CExpr::Repeat { a, .. } => expr_deps(a, d),
-        CExpr::Binary { a, b, .. } => {
-            expr_deps(a, d);
-            expr_deps(b, d);
-        }
-        CExpr::Cond { c, t, e } => {
-            expr_deps(c, d);
-            expr_deps(t, d);
-            expr_deps(e, d);
-        }
-        CExpr::Concat(parts) => {
-            for p in parts {
-                expr_deps(p, d);
-            }
-        }
-    }
-}
-
-/// Assignment targets and their dependencies (right-hand side, memory
-/// index, and every enclosing guard), flattened from the statement tree.
-enum Tgt {
-    Sig(usize),
-    Mem(usize),
-}
-
-fn collect_assigns(s: &CStmt, guards: &mut Deps, recs: &mut Vec<(Tgt, Deps)>) {
-    match s {
-        CStmt::Block(body) => {
-            for s in body {
-                collect_assigns(s, guards, recs);
-            }
-        }
-        CStmt::If { cond, then_s, else_s } => {
-            let (ns, nm) = (guards.sigs.len(), guards.mems.len());
-            expr_deps(cond, guards);
-            collect_assigns(then_s, guards, recs);
-            if let Some(e) = else_s {
-                collect_assigns(e, guards, recs);
-            }
-            guards.sigs.truncate(ns);
-            guards.mems.truncate(nm);
-        }
-        CStmt::Case { subject, arms, .. } => {
-            let (ns, nm) = (guards.sigs.len(), guards.mems.len());
-            expr_deps(subject, guards);
-            for arm in arms {
-                collect_assigns(arm, guards, recs);
-            }
-            guards.sigs.truncate(ns);
-            guards.mems.truncate(nm);
-        }
-        CStmt::AssignSig { id, value, .. } => {
-            let mut d = guards.clone();
-            expr_deps(value, &mut d);
-            recs.push((Tgt::Sig(*id), d));
-        }
-        CStmt::AssignMem { mem, index, value, .. } => {
-            let mut d = guards.clone();
-            expr_deps(index, &mut d);
-            expr_deps(value, &mut d);
-            recs.push((Tgt::Mem(*mem), d));
-        }
-        CStmt::Null => {}
-    }
-}
-
-/// The cone of influence of the observables `(done, ret, external
-/// written memories)`: the least fixpoint over "an assignment to a live
-/// target makes its RHS, its index, and its guards live" plus "reading
-/// a live wire makes the wire's expression support live".
-fn compute_coi(sim: &VlogSim) -> (Vec<bool>, Vec<bool>) {
-    let mut recs = Vec::new();
-    collect_assigns(sim.body(), &mut Deps::default(), &mut recs);
-    let wire_deps: Vec<Deps> = sim
-        .wires()
-        .iter()
-        .map(|e| {
-            let mut d = Deps::default();
-            expr_deps(e, &mut d);
-            d
-        })
-        .collect();
-    let mut live_s = vec![false; sim.sigs().len()];
-    let mut live_m = vec![false; sim.cmems().len()];
-    live_s[sim.done_id()] = true;
-    if let Some((id, _)) = sim.ret_sig() {
-        live_s[id] = true;
-    }
-    for (i, m) in sim.cmems().iter().enumerate() {
-        if m.external && m.written {
-            live_m[i] = true;
-        }
-    }
-    loop {
-        let mut changed = false;
-        let mut mark = |live_s: &mut Vec<bool>, live_m: &mut Vec<bool>, d: &Deps| {
-            for &id in &d.sigs {
-                if !live_s[id] {
-                    live_s[id] = true;
-                    changed = true;
-                }
-            }
-            for &m in &d.mems {
-                if !live_m[m] {
-                    live_m[m] = true;
-                    changed = true;
-                }
-            }
-        };
-        for (id, sig) in sim.sigs().iter().enumerate() {
-            if live_s[id] {
-                if let SigKind::Wire(w) = sig.kind {
-                    mark(&mut live_s, &mut live_m, &wire_deps[w]);
-                }
-            }
-        }
-        for (tgt, deps) in &recs {
-            let live = match tgt {
-                Tgt::Sig(id) => live_s[*id],
-                Tgt::Mem(m) => live_m[*m],
-            };
-            if live {
-                mark(&mut live_s, &mut live_m, deps);
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    (live_s, live_m)
 }
 
 fn bool_to_bv(g: &mut Gates, l: Lit, w: u32) -> Bv {

@@ -19,10 +19,9 @@
 //!   (via `vlog`'s elaborated-netlist view) into CNF over a bounded
 //!   k-cycle unrolling of the FSMD — reset protocol, done-freeze, wide
 //!   working keys, memories, multi-cycle pipelines and all;
-//! - [`sat_attack`]: the DIP loop, generic over the oracle closure —
-//!   cone-of-influence pruned and lazily unrolled (the miter starts
-//!   shallow and grows only when a model or UNSAT proof touches the
-//!   k-boundary frame);
+//! - [`sat_attack`]: the DIP loop, generic over the oracle closure and
+//!   lazily unrolled (the miter starts shallow and grows only when a
+//!   model or UNSAT proof touches the k-boundary frame);
 //! - [`sat_attack_portfolio`]: the same loop as a race between
 //!   diversified solver configurations on a [`sim_core::GridExec`]
 //!   grid, first finisher deciding each round.
@@ -83,11 +82,11 @@ pub mod encode;
 pub mod portfolio;
 
 pub use attack::{
-    sat_attack, AttackQuery, CnfSizes, ExhaustCause, IoConstraint, OracleResponse,
-    SatAttackOptions, SatAttackOutcome, SatAttackStatus,
+    sat_attack, AttackQuery, ExhaustCause, IoConstraint, OracleResponse, SatAttackOptions,
+    SatAttackOutcome, SatAttackStatus,
 };
 pub use bitvec::Bv;
-pub use encode::{CoiReport, EncInputs, Encoder, KeyLits, UnrollState, Unrolling};
+pub use encode::{EncInputs, Encoder, KeyLits, UnrollState, Unrolling};
 pub use portfolio::{
     diversified_configs, sat_attack_portfolio, PortfolioOptions, PortfolioOutcome, RacerReport,
 };

@@ -264,7 +264,7 @@ fn cancelling_the_attack_returns_partial_but_consistent_results() {
     assert_eq!(out.status, SatAttackStatus::Exhausted(ExhaustCause::Cancelled));
     assert_eq!(out.dips, 1, "exactly the in-flight DIP completed");
     assert_eq!(out.constraints.len(), 1, "the labelled DIP is handed back");
-    assert_eq!(out.queries, out.constraints.len() as u64);
+    assert_eq!(out.dips, out.constraints.len() as u64);
     // The partial key still satisfies every constraint collected so far.
     let partial = out.key.expect("a model over the partial constraints exists");
     for c in &out.constraints {
@@ -292,7 +292,6 @@ fn lazy_unrolling_collapses_below_the_full_bound() {
     assert_eq!(out.status, SatAttackStatus::Recovered, "dips={}", out.dips);
     assert_eq!(out.key.as_ref().expect("key recovered"), &key, "exact working key");
     assert!(out.unroll_final < 64, "lazy growth paid the full bound: k = {}", out.unroll_final);
-    assert!(out.coi.live_sigs <= out.coi.total_sigs);
 }
 
 #[test]
@@ -329,35 +328,6 @@ fn eager_depth_matches_lazy_verdict() {
     assert_eq!(lazy.key, eager.key, "lazy and eager disagree on the key");
     assert_eq!(eager.unroll_final, 16, "eager mode must sit at the full bound");
     assert_eq!(eager.growths, 0, "eager mode must never grow");
-}
-
-#[test]
-fn measure_full_cnf_reports_the_coi_win() {
-    let mut fsmd = synth("int f(int a, int b) { return (a ^ 21) + (b ^ 300); }", "f");
-    let key_bits: u32 = fsmd.consts.iter().map(|c| c.storage_width as u32).sum();
-    let key = xorshift_key(key_bits, 0xFACE);
-    lock_by_hand(&mut fsmd, &key);
-    let text = verilog::emit(&fsmd);
-    let sim = VlogSim::new(&text).expect("parses");
-    let compiled = CompiledFsmd::compile(&fsmd);
-    let mut runner = compiled.runner();
-    let sim_opts = SimOptions { max_cycles: 16, snapshot_on_timeout: false };
-    let mut oracle = |q: &AttackQuery| {
-        let case = TestCase { args: q.args.clone(), mem_inputs: Vec::new() };
-        match runner.run_case(&case, &key, &sim_opts) {
-            Ok(stats) => OracleResponse { done: true, ret: stats.ret, mems: Vec::new() },
-            Err(_) => OracleResponse { done: false, ret: None, mems: Vec::new() },
-        }
-    };
-    let out = sat_attack(
-        &sim,
-        &SatAttackOptions { unroll_cycles: 16, measure_full_cnf: true, ..Default::default() },
-        &mut oracle,
-    );
-    assert_eq!(out.status, SatAttackStatus::Recovered);
-    let cnf = out.miter_cnf.expect("measure_full_cnf fills miter_cnf");
-    assert!(cnf.coi_vars <= cnf.full_vars, "COI must not add variables");
-    assert!(cnf.coi_clauses <= cnf.full_clauses, "COI must not add clauses");
 }
 
 #[test]

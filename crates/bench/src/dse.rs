@@ -18,14 +18,14 @@ pub fn dse_kernels() -> Vec<Kernel> {
 }
 
 /// Runs the full paper-flavoured sweep (3 kernels × 18 configurations =
-/// 54 points) on `threads` workers (0 = all cores).
+/// 54 points) on one worker per core.
 ///
 /// # Errors
 ///
 /// Propagates any [`DseError`] — every point must compile, lock and sign
 /// off for the sweep to be meaningful.
-pub fn dse_sweep(threads: usize) -> Result<DseReport, DseError> {
-    explore(&dse_kernels(), &ConfigSpace::paper(), &DseOptions { threads, ..DseOptions::default() })
+pub fn dse_sweep() -> Result<DseReport, DseError> {
+    explore(&dse_kernels(), &ConfigSpace::paper(), &DseOptions::default())
 }
 
 /// A CI-sized smoke sweep: one kernel, ≤ 8 points.
@@ -33,14 +33,14 @@ pub fn dse_sweep(threads: usize) -> Result<DseReport, DseError> {
 /// # Errors
 ///
 /// Propagates any [`DseError`].
-pub fn smoke_sweep(threads: usize) -> Result<DseReport, DseError> {
+pub fn smoke_sweep() -> Result<DseReport, DseError> {
     // sobel: the fastest suite kernel to lock.
     let b = benchmarks::by_name("sobel").expect("sobel exists");
     let stim = &b.stimuli(1, 7)[0];
     let kernels =
         vec![Kernel::new(b.name, b.source, b.top, stim.args.clone())
             .with_arrays(stim.arrays.clone())];
-    explore(&kernels, &ConfigSpace::smoke(), &DseOptions { threads, ..DseOptions::default() })
+    explore(&kernels, &ConfigSpace::smoke(), &DseOptions::default())
 }
 
 #[cfg(test)]
@@ -49,7 +49,7 @@ mod tests {
 
     #[test]
     fn smoke_sweep_signs_off_and_has_a_front() {
-        let rep = smoke_sweep(0).unwrap();
+        let rep = smoke_sweep().unwrap();
         assert_eq!(rep.points.len(), ConfigSpace::smoke().len());
         assert!(rep.points.iter().all(|p| p.correct));
         assert!(!rep.pareto.is_empty());

@@ -380,7 +380,7 @@ pub fn keymgmt() -> Vec<KeyMgmtRow> {
 
 // ------------------------------------------------------------- ablations
 
-/// Area/frequency vs key bits per block (`B_i` sweep; DESIGN.md §5).
+/// Area/frequency vs key bits per block (`B_i` sweep).
 #[derive(Debug, Clone, PartialEq)]
 pub struct AblateBiRow {
     /// `B_i` value.
@@ -673,7 +673,7 @@ pub fn attack() -> Vec<AttackRow> {
 // ----------------------------------------------------- unrolling extension
 
 /// Table 1 characteristics under loop unrolling (Bambu-style loop
-/// optimization; DESIGN.md substitution notes).
+/// optimization).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UnrollRow {
     /// Benchmark name.

@@ -1,16 +1,13 @@
 //! # bench — experiment harness regenerating every table and figure
 //!
 //! Each public function reproduces one evaluation artifact of the TAO
-//! paper (see DESIGN.md §4 for the experiment index) and returns
-//! structured rows; the `reproduce` binary formats them next to the
-//! paper's reported values:
+//! paper (the README's *Reproduce the paper* section lists them) and
+//! returns structured rows; the `reproduce` binary formats them next to
+//! the paper's reported values:
 //!
 //! ```text
 //! cargo run --release -p bench --bin reproduce -- all
 //! ```
-//!
-//! The Criterion benches in `benches/` time the flow stages and the
-//! simulator, and re-emit the table/figure data as benchmark outputs.
 //!
 //! ## Design-space exploration
 //!
@@ -27,8 +24,7 @@
 //!
 //! prints every evaluated point (Pareto rows starred) and writes
 //! `target/dse_sweep.jsonl` — one JSON object per point — for trajectory
-//! tooling. `benches/dse.rs` times the same sweep at 1 vs N workers to
-//! report points/sec and the parallel speedup.
+//! tooling.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

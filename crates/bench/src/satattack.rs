@@ -162,7 +162,6 @@ pub fn sat_attack_rows() -> Vec<SatAttackRow> {
             let cfg = SatAttackConfig {
                 max_dips: Some(256),
                 conflict_budget: Some(1_000_000),
-                measure_full_cnf: true,
                 ..SatAttackConfig::default()
             };
             let cmp = compare_attacks(&d, &wk, &cases, &oracle, &sim_opts, &cfg)
@@ -262,16 +261,16 @@ pub fn sat_portfolio_smoke() -> String {
 }
 
 /// Renders the effort table. `k-fin` is the depth the lazy unrolling
-/// actually reached (≤ the configured `unroll` bound); the `cnf` columns
-/// report the per-kernel miter size in vars/clauses with cone-of-
-/// influence pruning (`coi-cnf`) and without it (`full-cnf`), both
-/// measured at `k-fin`.
+/// actually reached (≤ the configured `unroll` bound); `cnf` is the
+/// attack's whole CNF in vars/clauses when it stopped: both miter
+/// copies, every I/O-constraint unrolling, and the learnt clauses the
+/// solver still held.
 pub fn render_sat_attack(rows: &[SatAttackRow]) -> String {
     let mut out = String::new();
     out.push_str("SAT attack vs branch enumeration (oracle granted; paper's model denies it)\n");
     out.push_str(&format!(
         "{:<8} {:<5} {:>7} {:>7} {:>6} {:>6} {:>9} {:>10} {:>8} {:>6} {:>6} \
-         {:>15} {:>15} {:>12} {:>10}\n",
+         {:>17} {:>12} {:>10}\n",
         "kernel",
         "plan",
         "keybits",
@@ -283,8 +282,7 @@ pub fn render_sat_attack(rows: &[SatAttackRow]) -> String {
         "status",
         "exact",
         "func",
-        "coi-cnf",
-        "full-cnf",
+        "cnf",
         "branch-q",
         "branch-ms"
     ));
@@ -296,16 +294,9 @@ pub fn render_sat_attack(rows: &[SatAttackRow]) -> String {
             ),
             None => ("-".to_string(), "-".to_string()),
         };
-        let (coi_cnf, full_cnf) = match r.cmp.sat.outcome.miter_cnf {
-            Some(c) => (
-                format!("{}/{}", c.coi_vars, c.coi_clauses),
-                format!("{}/{}", c.full_vars, c.full_clauses),
-            ),
-            None => ("-".to_string(), "-".to_string()),
-        };
         out.push_str(&format!(
             "{:<8} {:<5} {:>7} {:>7} {:>6} {:>6} {:>9} {:>10.1} {:>8} {:>6} {:>6} \
-             {:>15} {:>15} {:>12} {:>10}\n",
+             {:>17} {:>12} {:>10}\n",
             r.kernel,
             r.plan,
             r.key_bits,
@@ -317,8 +308,7 @@ pub fn render_sat_attack(rows: &[SatAttackRow]) -> String {
             render_status(r.cmp.sat.outcome.status),
             if r.cmp.sat.key_exact { "yes" } else { "no" },
             if r.cmp.sat.key_functional { "yes" } else { "no" },
-            coi_cnf,
-            full_cnf,
+            format!("{}/{}", r.cmp.sat.outcome.vars, r.cmp.sat.outcome.clauses),
             bq,
             bms,
         ));
@@ -382,13 +372,13 @@ pub fn sat_probe(name: &str, unroll: u32, conflict_budget: u64) -> (u64, u64, f6
 }
 
 /// The paper-scale attempt: the `viterbi` benchmark's full multi-
-/// thousand-bit lock attacked head-on with the lazily-unrolled,
-/// COI-pruned miter under an explicit effort ceiling. The design runs
-/// thousands of cycles per invocation, so a full-depth collapse is out
-/// of reach by construction; the value of the row is the measured
-/// *effort frontier* — how deep the lazy unrolling got, what the COI
-/// pruning saved, and what partial result (I/O constraints, consistent
-/// key) the bounded attacker still walks away with.
+/// thousand-bit lock attacked head-on with the lazily-unrolled miter
+/// under an explicit effort ceiling. The design runs thousands of
+/// cycles per invocation, so a full-depth collapse is out of reach by
+/// construction; the value of the row is the measured *effort frontier*
+/// — how deep the lazy unrolling got, how large the CNF grew, and what
+/// partial result (I/O constraints, consistent key) the bounded
+/// attacker still walks away with.
 pub fn sat_attack_paper_attempt() -> (SatAttackRow, String) {
     let b = benchmarks::by_name("viterbi").expect("suite kernel");
     let lk = locking_key(0x7a9e);
@@ -403,7 +393,6 @@ pub fn sat_attack_paper_attempt() -> (SatAttackRow, String) {
         unroll: Some(64),
         max_dips: Some(32),
         conflict_budget: Some(100_000),
-        measure_full_cnf: true,
         ..SatAttackConfig::default()
     };
     let cmp =

@@ -1,8 +1,8 @@
 //! Machine-readable simulator-throughput benchmark: `BENCH_sim.json`.
 //!
 //! The ROADMAP's north star is "as fast as the hardware allows", so the
-//! simulator backends' throughput is a tracked artifact, not a one-off
-//! Criterion run. `reproduce -- bench-json` measures cycles/second for
+//! simulator backends' throughput is a tracked, checked-in artifact.
+//! `reproduce -- bench-json` measures cycles/second for
 //! all five backends — FSMD tree ([`rtl::simulate`]), FSMD tape
 //! ([`rtl::CompiledFsmd`]), the bind-time specialized threaded code
 //! ([`rtl::SpecFsmd`], schema v5), Verilog tree ([`vlog::VlogSim`]),

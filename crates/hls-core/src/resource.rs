@@ -4,8 +4,7 @@
 //! SAED 32 nm at a 2 ns / 500 MHz target): every datapath component has an
 //! area (µm²) and a propagation delay (ns) parametrized by bit-width. The
 //! absolute values are calibrated to published SAED32 synthesis results so
-//! that *relative* overheads (Figure 6) are meaningful; see DESIGN.md's
-//! substitution table.
+//! that *relative* overheads (Figure 6) are meaningful.
 
 use hls_ir::{ArrayId, BinOp, Instr, UnOp};
 

@@ -430,7 +430,6 @@ pub fn explore(
                             unroll: Some(res.cycles as u32 + cfg.slack),
                             slack: cfg.slack,
                             initial_unroll: None,
-                            measure_full_cnf: false,
                             max_dips: Some(cfg.max_dips),
                             conflict_budget: Some(cfg.conflict_budget),
                             step_budget: None,

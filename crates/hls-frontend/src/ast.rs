@@ -64,7 +64,7 @@ pub enum AstBinOp {
     /// `>=`
     Ge,
     /// `&&` — evaluated without short circuit (all expressions in the
-    /// subset are total; documented substitution in DESIGN.md).
+    /// subset are total).
     LogicAnd,
     /// `||` — evaluated without short circuit.
     LogicOr,

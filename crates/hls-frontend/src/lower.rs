@@ -1,7 +1,7 @@
 //! Lowering from the C-subset AST to the `hls-ir` module form, with
 //! semantic checking.
 //!
-//! Notable lowering decisions (all recorded in DESIGN.md):
+//! Notable lowering decisions:
 //!
 //! - **Initialized local arrays become explicit stores** of interned
 //!   constants at the declaration point. This puts coefficient tables into

@@ -1,10 +1,10 @@
 //! Integer value types for the HLS intermediate representation.
 //!
 //! The IR is integer-only (the C subset accepted by the front end has no
-//! floating point; see `DESIGN.md`). A [`Type`] is a bit-width between 1 and
-//! 64 plus a signedness flag. All arithmetic is two's-complement and wraps
-//! modulo `2^width`, matching both C semantics on fixed-width integers and
-//! the behaviour of synthesized datapaths.
+//! floating point). A [`Type`] is a bit-width between 1 and 64 plus a
+//! signedness flag. All arithmetic is two's-complement and wraps modulo
+//! `2^width`, matching both C semantics on fixed-width integers and the
+//! behaviour of synthesized datapaths.
 
 use std::fmt;
 

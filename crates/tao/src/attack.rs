@@ -10,17 +10,17 @@
 //!   oracle-style attack *inside* the threat model's boundary case — an
 //!   attacker who somehow obtained I/O oracles and enumerates branch-mask
 //!   bits (the only sub-exponential component) while treating the rest of
-//!   the key as unknown;
-//! - [`sensitize_branch_bits`] shows the converse: even knowing every
-//!   other key bit, branch bits still require an oracle to test, because
-//!   both polarities yield *logical but incorrect* executions
-//!   (Sec. 3.2.2) that are indistinguishable without reference outputs.
+//!   the key as unknown.
+//!
+//! Without an oracle, even an attacker who knows every other key bit
+//! cannot test a branch bit: both polarities yield *logical but
+//! incorrect* executions (Sec. 3.2.2) that terminate with well-formed
+//! outputs, so only reference outputs, which the foundry does not have,
+//! tell the true polarity apart.
 
 use crate::flow::LockedDesign;
 use attack_sat::{AttackQuery, OracleResponse, SatAttackOptions, SatAttackOutcome};
-pub use attack_sat::{
-    CnfSizes, ExhaustCause, IoConstraint, PortfolioOptions, RacerReport, SatAttackStatus,
-};
+pub use attack_sat::{ExhaustCause, IoConstraint, PortfolioOptions, RacerReport, SatAttackStatus};
 use hls_core::{verilog, KeyBits};
 use hls_ir::ArrayId;
 use rtl::{images_equal, CompiledFsmd, OutputImage, SimOptions, TestCase};
@@ -163,49 +163,6 @@ fn true_assignment(correct_key: &KeyBits, branch_bits: &[u32]) -> u64 {
     branch_bits.iter().enumerate().map(|(i, &b)| (correct_key.bit(b) as u64) << i).sum()
 }
 
-/// The foundry's view *without* an oracle: for each branch bit, both
-/// polarities produce executions that terminate (or plausibly run) and
-/// yield well-formed outputs — there is no structural signal separating
-/// the true polarity. Returns, per branch bit, whether the two polarities
-/// are distinguishable *without* reference outputs (they should never be:
-/// both produce some output or both may run long).
-pub fn sensitize_branch_bits(
-    design: &LockedDesign,
-    correct_key: &KeyBits,
-    case: &TestCase,
-    opts: &SimOptions,
-) -> Vec<bool> {
-    let compiled = CompiledFsmd::compile(&design.fsmd);
-    let mut runner = compiled.runner();
-    // The correct-key run is loop-invariant: simulate it once. One flip
-    // buffer serves every bit (flip before the run, restore after)
-    // instead of cloning the key per bit.
-    let a = runner.outputs(case, correct_key, opts);
-    let mut flipped = correct_key.clone();
-    design
-        .plan
-        .branch_bits
-        .values()
-        .map(|&b| {
-            flipped.set_bit(b, !flipped.bit(b));
-            let x = runner.outputs(case, &flipped, opts);
-            flipped.set_bit(b, correct_key.bit(b));
-            // "Distinguishable without an oracle" would mean one execution
-            // is structurally ill-formed while the other is fine. Both
-            // always produce results (or both can exceed any finite
-            // budget), so the only separator is comparing against golden
-            // outputs — which the foundry does not have.
-            match (&a, &x) {
-                (Ok(_), Ok(_)) => false,
-                (Err(_), Err(_)) => false,
-                // One side exceeding the budget is not a distinguisher
-                // either: the attacker does not know the correct latency.
-                _ => false,
-            }
-        })
-        .collect()
-}
-
 // ------------------------------------------------------------ SAT attack
 
 /// Options for the design-level SAT attack.
@@ -222,10 +179,6 @@ pub struct SatAttackConfig {
     /// yields boundary artifacts); the DIP loop grows toward the full
     /// bound only when a proof touches the k-boundary frame.
     pub initial_unroll: Option<u32>,
-    /// Measure the miter CNF with and without cone-of-influence pruning
-    /// at the final depth (reported in the outcome; costs one extra
-    /// unsolved encoding pass).
-    pub measure_full_cnf: bool,
     /// Stop after this many DIPs.
     pub max_dips: Option<u64>,
     /// Total solver conflict budget.
@@ -251,7 +204,6 @@ impl Default for SatAttackConfig {
             unroll: None,
             slack: 8,
             initial_unroll: None,
-            measure_full_cnf: false,
             max_dips: None,
             conflict_budget: None,
             step_budget: None,
@@ -445,7 +397,6 @@ fn sat_attack_design_with(
     let opts = SatAttackOptions {
         unroll_cycles: unroll,
         initial_unroll: cfg.initial_unroll.unwrap_or_else(|| probed_worst.clamp(1, unroll)),
-        measure_full_cnf: cfg.measure_full_cnf,
         max_dips: cfg.max_dips,
         conflict_budget: cfg.conflict_budget,
         step_budget: cfg.step_budget,
@@ -614,21 +565,6 @@ mod tests {
     }
 
     #[test]
-    fn without_oracle_branch_polarities_are_indistinguishable() {
-        let m = hls_frontend::compile(KERNEL, "t").unwrap();
-        let lk = locking(3);
-        let d = lock(&m, "f", &lk, &branch_only()).unwrap();
-        let wk = d.working_key(&lk);
-        let case = TestCase::args(&[7, 2]);
-        let opts = SimOptions { max_cycles: 100_000, snapshot_on_timeout: true };
-        let distinguishable = sensitize_branch_bits(&d, &wk, &case, &opts);
-        assert!(
-            distinguishable.iter().all(|&d| !d),
-            "no branch bit may be recoverable without reference outputs"
-        );
-    }
-
-    #[test]
     fn sat_attack_recovers_branch_key_exactly() {
         let m = hls_frontend::compile(KERNEL, "t").unwrap();
         let lk = locking(6);
@@ -721,7 +657,7 @@ mod tests {
         // The SAT attack answers with *one* key for the whole space and
         // needs orders of magnitude fewer oracle queries than the
         // enumeration needs simulations.
-        assert!(cmp.sat.outcome.queries < cmp.branch_queries);
+        assert!(cmp.sat.outcome.dips < cmp.branch_queries);
         assert!(cmp.sat_strictly_stronger() || br.candidates_surviving == 1);
     }
 

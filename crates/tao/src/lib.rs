@@ -49,9 +49,8 @@ pub mod verify;
 
 pub use attack::{
     compare_attacks, oracle_guided_branch_attack, sat_attack_design, sat_attack_design_portfolio,
-    sensitize_branch_bits, AttackComparison, BranchAttackOutcome, CnfSizes, ExhaustCause,
-    IoConstraint, KeySpace, PortfolioOptions, RacerReport, SatAttackConfig, SatAttackStatus,
-    SatDesignAttack, SatPortfolioAttack,
+    AttackComparison, BranchAttackOutcome, ExhaustCause, IoConstraint, KeySpace, PortfolioOptions,
+    RacerReport, SatAttackConfig, SatAttackStatus, SatDesignAttack, SatPortfolioAttack,
 };
 pub use branches::obfuscate_branches;
 pub use constants::obfuscate_constants;

@@ -52,16 +52,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\nwith an oracle: {}/{} branch-bit candidates survive (true key among them: {})",
         out.candidates_surviving, out.candidates_tried, out.true_key_survives
     );
-
-    // Without the oracle (the paper's untrusted-foundry model): no branch
-    // polarity is structurally distinguishable.
-    let case = &cases[0];
-    let distinguishable = tao::sensitize_branch_bits(&d, &wk, case, &opts);
-    println!(
-        "without an oracle: {}/{} branch bits distinguishable from netlist behaviour alone",
-        distinguishable.iter().filter(|&&x| x).count(),
-        distinguishable.len()
-    );
     println!(
         "\nconclusion (paper Sec. 4.3): SAT/enumeration attacks need the oracle the\n\
          untrusted foundry does not have; constants alone are 2^{} strong.",

@@ -52,9 +52,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         compare_attacks(&design, &wk, &cases, &oracle, &sim_opts, &SatAttackConfig::default())?;
 
     println!(
-        "\nSAT attack:   {} DIPs, {} oracle queries, {} conflicts, {:.1} ms → {}",
+        "\nSAT attack:   {} DIPs (one oracle query each), {} conflicts, {:.1} ms → {}",
         cmp.sat.outcome.dips,
-        cmp.sat.outcome.queries,
         cmp.sat.outcome.conflicts,
         cmp.sat.outcome.wall.as_secs_f64() * 1e3,
         if cmp.sat.key_exact {

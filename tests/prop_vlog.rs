@@ -11,7 +11,8 @@
 //!
 //! The Verilog front end must also survive hostile text: seeded byte and
 //! token mutations of emitted paper-kernel texts, and declarations sized
-//! to overflow it, give an `Ok` or an error, never a panic.
+//! to overflow it, give an `Ok` or an error, never a panic, and every
+//! mutant that elaborates runs alike on both Verilog backends.
 
 // `reference_grid` is for the grid suites.
 #[allow(dead_code)]
@@ -374,9 +375,18 @@ proptest! {
             }
             let text = String::from_utf8(text).expect("mutations keep the text ASCII");
             // `Ok` or `Err` are both fine; a panic fails the property.
-            if let Ok(sim) = VlogSim::new(&text) {
-                let _ = VlogTape::compile(&sim);
-            }
+            let Ok(sim) = VlogSim::new(&text) else { continue };
+            let Ok(tape) = VlogTape::compile(&sim) else { continue };
+            // What elaborates must also run: one stimulus on both Verilog
+            // backends, which must return the same result or error.
+            let args: Vec<u64> = (0..sim.num_args()).map(|_| r.next() % 1024).collect();
+            let key = KeyBits::from_fn(sim.key_width(), || r.next());
+            let opts = SimOptions { max_cycles: 4096, snapshot_on_timeout: true };
+            prop_assert_eq!(
+                sim.simulate(&args, &key, &[], &opts),
+                tape.simulate(&args, &key, &[], &opts),
+                "tree and tape disagree on a mutant:\n{}", text
+            );
         }
     }
 }
