@@ -6,7 +6,7 @@
 //! in [`SolverConfig`] (VSIDS decay, restart scaling, phase
 //! initialization, seed). Each DIP-loop decision runs as a *round*: all
 //! racers solve the same question concurrently under a round-scoped
-//! child [`Budget`]; the first to finish cancels the round, and the
+//! child [`Budget`](sim_core::Budget); the first to finish cancels the round, and the
 //! lowest-indexed finisher's answer drives the loop (a deterministic
 //! tie-break, so the winner report is reproducible modulo racing).
 //! The coordinator queries the oracle once per DIP and broadcasts the

@@ -28,11 +28,8 @@ const KNOWN: &[&str] = &[
     "dse-smoke",
     "vlog-diff",
     "vlog-diff-smoke",
-    "bench-json",
-    "bench-json-smoke",
-    "bench-diff",
-    "bench-history",
-    "bench-history-smoke",
+    "sim-bench",
+    "sim-bench-smoke",
     "analyze",
     "analyze-smoke",
     "grid-smoke",
@@ -128,8 +125,14 @@ fn main() {
         }
         w
     };
+    if let Some(bad) = wanted.iter().find(|w| !KNOWN.contains(w)) {
+        eprintln!("unknown experiment `{bad}`");
+        eprintln!("known: {}", KNOWN.join(" "));
+        std::process::exit(2);
+    }
 
     for what in wanted {
+        let t0 = std::time::Instant::now();
         match what {
             "table1" => println!("{}", render_table1(&table1())),
             "fig6" => println!("{}", render_fig6(&fig6())),
@@ -232,80 +235,27 @@ fn main() {
                 println!("{}", render_vlogdiff(&rows));
                 assert!(vlog_diff_clean(&rows), "differential verification failed: {rows:?}");
             }
-            "bench-json" => {
-                // Simulator-throughput trajectory artifact: all four
-                // backends plus the parallel grid on every kernel,
-                // written as BENCH_sim.json.
-                let rows = sim_bench();
+            "sim-bench" | "sim-bench-smoke" => {
+                // Simulator throughput (the smoke size runs two kernels),
+                // gated by the three floors, each a ratio of two backends
+                // measured in this process.
+                let rows = if what == "sim-bench" { sim_bench() } else { sim_bench_smoke() };
                 println!("{}", render_sim_bench(&rows));
-                let path = "BENCH_sim.json";
-                std::fs::write(path, sim_bench_json(&rows, "full"))
-                    .unwrap_or_else(|e| panic!("could not write {path}: {e}"));
-                println!("wrote {path}");
-                // Every run also feeds the perf trajectory, so
-                // `bench-history` can trend across runs, not just diff
-                // against one baseline.
-                let history = std::path::Path::new("target/bench_history.jsonl");
-                match append_history(history, &rows, "full") {
-                    Ok(()) => println!("appended run to {}", history.display()),
-                    Err(e) => eprintln!("could not append {}: {e}", history.display()),
-                }
-                let mut violations = check_floor(&rows, VLOG_TAPE_FLOOR).err().unwrap_or_default();
-                violations.extend(check_grid_floor(&rows, GRID_FLOOR).err().unwrap_or_default());
-                violations.extend(check_spec_floor(&rows, SPEC_FLOOR).err().unwrap_or_default());
+                let violations: Vec<String> = [
+                    check_floor(&rows, VLOG_TAPE_FLOOR),
+                    check_spec_floor(&rows, SPEC_FLOOR),
+                    check_grid_floor(&rows, GRID_FLOOR),
+                ]
+                .into_iter()
+                .filter_map(Result::err)
+                .flatten()
+                .collect();
                 if !violations.is_empty() {
                     for v in &violations {
                         eprintln!("FLOOR VIOLATION: {v}");
                     }
                     std::process::exit(1);
                 }
-            }
-            "bench-diff" => {
-                // Bench trajectory gate: re-measure the full sweep and
-                // diff it against the checked-in baseline. Absolute
-                // cycles/s deltas and the grid scaling curve are context
-                // (the baseline machine is not the CI machine); the
-                // in-process tape-vs-tree speedup ratios gate at a >30%
-                // drop and the SAT-attack effort counters at a >50%
-                // drop.
-                let baseline_text = std::fs::read_to_string("BENCH_sim.json")
-                    .expect("checked-in BENCH_sim.json baseline");
-                let baseline = parse_sim_bench_json(&baseline_text).expect("baseline parses");
-                let rows = sim_bench();
-                let deltas = diff_sim_bench(&rows, &baseline);
-                println!("{}", render_bench_diff(&deltas));
-                // On runners that measured a scaling curve, the w4/w1
-                // ratio also gates against the absolute floor (the
-                // baseline-relative ratio gate rides in the deltas).
-                if let Err(vs) = check_grid_curve_floor(&rows, GRID_CURVE_FLOOR) {
-                    for v in &vs {
-                        eprintln!("GRID CURVE VIOLATION: {v}");
-                    }
-                    std::process::exit(1);
-                }
-                let regs = bench_regressions(&deltas);
-                if !regs.is_empty() {
-                    for r in &regs {
-                        eprintln!(
-                            "BENCH REGRESSION: {} {} fell to {:.0}% of baseline \
-                             ({:.2} -> {:.2}, tolerance {:.0}%)",
-                            r.kernel,
-                            r.metric,
-                            r.ratio() * 100.0,
-                            r.baseline,
-                            r.fresh,
-                            r.max_drop.unwrap_or(0.0) * 100.0,
-                        );
-                    }
-                    std::process::exit(1);
-                }
-                println!(
-                    "bench-diff: {} metrics compared; speedup ratios within {:.0}% and \
-                     SAT effort within {:.0}% of baseline",
-                    deltas.len(),
-                    BENCH_DIFF_MAX_DROP * 100.0,
-                    SAT_EFFORT_MAX_DROP * 100.0
-                );
             }
             "profile" => {
                 // One instrumented pass over grid + SAT + DSE with the
@@ -358,44 +308,6 @@ fn main() {
                 // round-trip.
                 println!("{}", analyze_smoke());
             }
-            "bench-history" => {
-                // Perf trajectory: trend every (kernel, metric) series
-                // across the runs `bench-json` appended on this
-                // machine+mode; robust slope + last-3-median verdicts.
-                let path = std::path::Path::new("target/bench_history.jsonl");
-                let text = std::fs::read_to_string(path).unwrap_or_default();
-                let runs = parse_history(&text);
-                if runs.is_empty() {
-                    println!(
-                        "no bench history at {} yet (run `reproduce -- bench-json` to \
-                         start one)",
-                        path.display()
-                    );
-                } else {
-                    let trends = history_trends(&runs);
-                    println!("{}", render_history(&trends, runs.len()));
-                    let regressing: Vec<_> =
-                        trends.iter().filter(|t| t.verdict == TrendVerdict::Regressing).collect();
-                    if !regressing.is_empty() {
-                        for t in &regressing {
-                            eprintln!(
-                                "HISTORY REGRESSION: {} {} trending {:+.1}%/run \
-                                 (last-3 median {:+.1}% vs prior)",
-                                t.kernel,
-                                t.metric,
-                                t.slope_per_run * 100.0,
-                                t.shift * 100.0,
-                            );
-                        }
-                        std::process::exit(1);
-                    }
-                }
-            }
-            "bench-history-smoke" => {
-                // CI gate: two synthetic runs appended to a scratch
-                // history, parsed back, trend table rendered.
-                println!("{}", bench_history_smoke());
-            }
             "profile-smoke" => {
                 // CI gate: tight-budget profile pass; asserts the trace
                 // is well-formed and covers grid, SAT and DSE spans.
@@ -420,31 +332,19 @@ fn main() {
                 // grid bit for bit (locked design, correct + wrong keys).
                 println!("{}", spec_smoke());
             }
-            "bench-json-smoke" => {
-                // CI regression gate: two kernels; fails when the compiled
-                // Verilog backend drops below the throughput floor.
-                let rows = sim_bench_smoke();
-                println!("{}", render_sim_bench(&rows));
-                let path = "target/BENCH_sim_smoke.json";
-                match std::fs::write(path, sim_bench_json(&rows, "smoke")) {
-                    Ok(()) => println!("wrote {path}"),
-                    Err(e) => eprintln!("could not write {path}: {e}"),
-                }
-                let mut violations = check_floor(&rows, VLOG_TAPE_FLOOR).err().unwrap_or_default();
-                violations.extend(check_grid_floor(&rows, GRID_FLOOR).err().unwrap_or_default());
-                violations.extend(check_spec_floor(&rows, SPEC_FLOOR).err().unwrap_or_default());
-                if !violations.is_empty() {
-                    for v in &violations {
-                        eprintln!("FLOOR VIOLATION: {v}");
-                    }
-                    std::process::exit(1);
-                }
-            }
-            other => {
-                eprintln!("unknown experiment `{other}`");
-                eprintln!("known: {}", KNOWN.join(" "));
-                std::process::exit(2);
-            }
+            other => unreachable!("`{other}` passed the KNOWN check"),
         }
+        // The stdout tables stay diffable; the timing row goes to stderr.
+        let rss = peak_rss_mb().map_or("n/a".to_string(), |mb| format!("{mb:.0} MB"));
+        eprintln!("[{what}] {:.1} s, peak RSS {rss}", t0.elapsed().as_secs_f64());
     }
+}
+
+/// The process's peak resident set (`VmHWM`) in MB so far; `None` off
+/// Linux.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kb: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kb / 1024.0)
 }

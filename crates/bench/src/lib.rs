@@ -34,32 +34,25 @@ pub mod chaos;
 pub mod dse;
 pub mod experiments;
 pub mod format;
-pub mod history;
 pub mod profile;
 pub mod satattack;
-pub mod simjson;
+pub mod simbench;
 pub mod vlogdiff;
 
 pub use analyze::{analyze_smoke, analyze_trace_file, AnalyzeReport};
 pub use chaos::chaos_smoke;
 pub use dse::{dse_kernels, dse_sweep, smoke_sweep};
 pub use experiments::*;
-pub use history::{
-    append_history, bench_history_smoke, fingerprint, history_trends, parse_history,
-    render_history, HistoryRun, TrendRow, TrendVerdict, HISTORY_SCHEMA,
-};
 pub use profile::{
     check_trace, profile_kernel, profile_kernel_with, profile_smoke, ProfileReport, REQUIRED_SPANS,
 };
 pub use satattack::{
     attack_kernels, attack_plans, render_sat_attack, sat_attack_paper_attempt, sat_attack_rows,
-    sat_attack_smoke, sat_portfolio_smoke, sat_probe, AttackKernel, SatAttackRow,
+    sat_attack_smoke, sat_portfolio_smoke, AttackKernel, SatAttackRow,
 };
-pub use simjson::{
-    bench_regressions, check_floor, check_grid_curve_floor, check_grid_floor, check_spec_floor,
-    diff_sim_bench, grid_smoke, parse_sim_bench_json, render_bench_diff, render_sim_bench,
-    sim_bench, sim_bench_json, sim_bench_smoke, spec_smoke, BaselineRow, BenchDelta, SimBenchRow,
-    BENCH_DIFF_MAX_DROP, GRID_CURVE_FLOOR, GRID_CURVE_WORKERS, GRID_FLOOR, GRID_FLOOR_MIN_WORKERS,
-    SAT_EFFORT_MAX_DROP, SPEC_FLOOR, VLOG_TAPE_FLOOR,
+pub use simbench::{
+    check_floor, check_grid_floor, check_spec_floor, grid_smoke, render_sim_bench, sim_bench,
+    sim_bench_smoke, spec_smoke, SimBenchRow, GRID_FLOOR, GRID_FLOOR_MIN_WORKERS, SPEC_FLOOR,
+    VLOG_TAPE_FLOOR,
 };
 pub use vlogdiff::{vlog_diff, vlog_diff_clean, vlog_diff_smoke, VlogDiffRow};

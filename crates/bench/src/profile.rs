@@ -79,9 +79,9 @@ pub fn profile_kernel_with(kernel: &str, smoke: bool, progress: ProgressTracker)
     let grid_trials = grid.iter().flatten().count() as u64;
 
     // Stage 2 — the budgeted SAT attack on the same locked design
-    // (bounded window: the probe measures effort, not full recovery).
+    // (an 8-cycle window: the pass measures effort, not full recovery).
     let cfg = SatAttackConfig {
-        unroll: Some(crate::simjson::SAT_PROBE_UNROLL),
+        unroll: Some(8),
         max_dips: Some(if smoke { 4 } else { 16 }),
         conflict_budget: Some(if smoke { 500 } else { 2_000 }),
         obs: obs.clone(),

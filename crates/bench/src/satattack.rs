@@ -13,9 +13,8 @@
 //! The five paper benchmarks run thousands of cycles per invocation —
 //! far past what a k-cycle CNF unrolling can carry — so the full attack
 //! corpus is a set of *attack kernels* sized to the bounded-model window,
-//! while [`sat_probe`] records the budgeted bounded-window effort for
-//! every paper benchmark (the `sat_dips` / `sat_conflicts` columns of
-//! `BENCH_sim.json` schema v3).
+//! and [`sat_attack_paper_attempt`] attacks one paper benchmark head-on
+//! under an explicit effort ceiling.
 
 use crate::experiments::locking_key;
 use rtl::{golden_outputs, SimOptions, TestCase};
@@ -342,33 +341,6 @@ fn render_status(status: tao::SatAttackStatus) -> &'static str {
             tao::ExhaustCause::Cancelled => "cancel",
         },
     }
-}
-
-/// Bounded-window SAT-attack probe for one paper benchmark: encodes a
-/// `k`-cycle miter of the full locked design and runs the DIP loop under
-/// a conflict budget. The benchmarks run thousands of cycles, so within
-/// a small window every key times out and the space collapses trivially
-/// — the probe measures the *bounded* attack effort (and proves the
-/// encoder scales to the real designs), not a full key recovery.
-/// Returns `(dips, conflicts, wall ms)` — the wall clock is the
-/// `sat_ms` column of `BENCH_sim.json` schema v6, recorded as context
-/// alongside the machine-independent effort counters.
-pub fn sat_probe(name: &str, unroll: u32, conflict_budget: u64) -> (u64, u64, f64) {
-    let b = benchmarks::by_name(name).expect("suite kernel");
-    let lk = locking_key(0x5a7b);
-    let m = b.compile().expect("kernel compiles");
-    let d = tao::lock(&m, b.top, &lk, &TaoOptions::default()).expect("lock succeeds");
-    let wk = d.working_key(&lk);
-    let case = crate::experiments::test_case(&b, &d, 21);
-    let cfg = SatAttackConfig {
-        unroll: Some(unroll),
-        max_dips: Some(16),
-        conflict_budget: Some(conflict_budget),
-        ..SatAttackConfig::default()
-    };
-    let att = tao::sat_attack_design(&d, &wk, std::slice::from_ref(&case), &cfg)
-        .expect("emitted text parses");
-    (att.outcome.dips, att.outcome.conflicts, att.outcome.wall.as_secs_f64() * 1e3)
 }
 
 /// The paper-scale attempt: the `viterbi` benchmark's full multi-

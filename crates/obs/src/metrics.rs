@@ -167,29 +167,6 @@ impl Histogram {
         }
     }
 
-    /// Folds `other`'s observations into this histogram, bucket by
-    /// bucket. Because both sides share the same log-linear bucket
-    /// layout, a merged histogram is indistinguishable from one that
-    /// recorded every observation directly: count, sum, max, mean and
-    /// every quantile agree exactly. Merging with (or into) a disabled
-    /// handle is a no-op — the analyzer uses this to combine per-worker
-    /// trial-latency histograms into one summary.
-    pub fn merge(&self, other: &Histogram) {
-        let (Some(h), Some(o)) = (&self.0, &other.0) else { return };
-        if Arc::ptr_eq(h, o) {
-            return;
-        }
-        for (b, ob) in h.buckets.iter().zip(&o.buckets) {
-            let n = ob.load(Ordering::Relaxed);
-            if n > 0 {
-                b.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        h.count.fetch_add(o.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        h.sum.fetch_add(o.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-        h.max.fetch_max(o.max.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
     /// The value at quantile `q` (0.0..=1.0), reported as the upper bound
     /// of the bucket holding that rank (clamped to the exact max). 0 when
     /// empty.
@@ -348,40 +325,6 @@ mod tests {
         assert!((44..=57).contains(&p50), "p50={p50}");
         assert_eq!(h.quantile(1.0), 100);
         assert_eq!(Histogram::default().quantile(0.5), 0);
-    }
-
-    #[test]
-    fn merge_equals_recording_into_one_histogram() {
-        let r = Registry::default();
-        let (a, b, one) = (r.histogram("a"), r.histogram("b"), r.histogram("one"));
-        for v in [0u64, 1, 15, 16, 17, 1000, 123_456, u64::MAX / 7] {
-            a.record(v);
-            one.record(v);
-        }
-        for v in [3u64, 99, 1 << 30, u64::MAX] {
-            b.record(v);
-            one.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), one.count());
-        assert_eq!(a.sum(), one.sum());
-        assert_eq!(a.max(), one.max());
-        for q in [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0] {
-            assert_eq!(a.quantile(q), one.quantile(q), "q={q}");
-        }
-    }
-
-    #[test]
-    fn merge_with_disabled_or_self_is_a_no_op() {
-        let r = Registry::default();
-        let h = r.histogram("h");
-        h.record(42);
-        h.merge(&Histogram::default());
-        Histogram::default().merge(&h);
-        let before = (h.count(), h.sum(), h.max());
-        h.merge(&h.clone());
-        assert_eq!((h.count(), h.sum(), h.max()), before, "self-merge must not double");
-        assert_eq!(before, (1, 42, 42));
     }
 
     #[test]

@@ -142,7 +142,7 @@ impl ProgressTracker {
     }
 
     /// Switches the current phase label and publishes a snapshot.
-    /// Labels are interned in a fixed table; beyond [`MAX_PHASES`]
+    /// Labels are interned in a fixed table; beyond `MAX_PHASES`
     /// distinct labels the phase stops changing (progress still
     /// counts).
     pub fn set_phase(&self, name: &'static str) {

@@ -3,7 +3,7 @@
 //! The [`crate::tape`] backend already flattens the FSMD once and binds a
 //! working key once, but its cycle loop still pays interpreter dispatch
 //! on every micro-op: a `match` over [`FuOp`], a nested `match` inside
-//! `BinOp::eval`, two `match`es decoding [`TSrc`] operands, a
+//! `BinOp::eval`, two `match`es decoding `TSrc` operands, a
 //! `reg_masks` lookup and a buffered `reg_writes` push/drain per write.
 //! None of that work depends on the stimulus — it is all decided by the
 //! design and the key. [`SpecFsmd`] therefore runs a **bind-time

@@ -16,7 +16,7 @@
 //!   parent cancels every child, cancelling a child leaves the parent
 //!   running (one DSE point can give up without stopping the sweep);
 //! - a [`Deadline`] — a wall-clock `Instant` cutoff;
-//! - an optional armed [`FaultPlan`](crate::faultpoint::FaultPlan) —
+//! - an optional armed [`FaultPlan`] —
 //!   the deterministic fault-injection harness rides the same handle
 //!   (see [`crate::faultpoint`]), so injected faults reach exactly the
 //!   code paths the budget governs and parallel tests never share

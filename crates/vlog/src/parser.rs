@@ -1,7 +1,7 @@
 //! Recursive-descent parser for the synthesizable subset.
 //!
 //! Binary operators parse in one precedence-climbing loop over a
-//! binding-power table ([`binop`]); everything else is one function per
+//! binding-power table (`binop`); everything else is one function per
 //! construct. Declarations, expression sizes and nesting are bounded by
 //! the caps below, so hostile text yields a [`ParseError`] instead of an
 //! overflow, a huge allocation or a stack overflow.

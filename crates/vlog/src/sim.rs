@@ -1167,7 +1167,7 @@ fn const_value(e: &CExpr) -> Option<u64> {
 // ------------------------------------------------------------- testbench
 
 /// Runs the Verilog-text simulation on an `rtl::TestCase`, mirroring
-/// [`rtl::rtl_outputs`]: memory inputs are resolved through the design's
+/// `rtl::rtl_outputs`: memory inputs are resolved through the design's
 /// array map, and the returned [`OutputImage`] contains the return value
 /// plus every written external memory, in declaration order.
 ///
