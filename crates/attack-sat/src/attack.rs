@@ -22,7 +22,7 @@ use crate::encode::{EncInputs, Encoder, KeyLits, UnrollState, Unrolling};
 use hls_core::KeyBits;
 use sat::{Gates, Lit, SolveOutcome, SolverConfig};
 use sim_core::ctrl::{Budget, CancelKind};
-use sim_core::faultpoint;
+use sim_core::{faultpoint, SimError, SimOptions};
 use std::time::{Duration, Instant};
 use vlog::VlogSim;
 
@@ -73,9 +73,10 @@ pub struct SatAttackOptions {
     /// rack up few conflicts.
     pub step_budget: Option<u64>,
     /// Cooperative cancellation + wall-clock deadline: checked before
-    /// every DIP iteration and forwarded into the CDCL solver (which
-    /// observes it at its own cadence), so a cancelled or expired attack
-    /// stops mid-proof and still returns its partial effort and
+    /// every unrolled frame of the initial encode and every DIP
+    /// iteration, and forwarded into the CDCL solver (which observes it
+    /// at its own cadence), so a cancelled or expired attack stops
+    /// mid-encode or mid-proof and still returns its partial effort and
     /// accumulated I/O constraints. Also carries the armed fault plan
     /// for the `attack.oracle` site (coordinate = DIP ordinal).
     pub budget: Budget,
@@ -110,9 +111,11 @@ impl Default for SatAttackOptions {
 
 /// What exhausted an attack that did not reach collapse. In every case
 /// the outcome still carries the DIPs found, the accumulated I/O
-/// constraints, the effort counters, and a key satisfying every
-/// constraint collected so far — partial, internally consistent results
-/// instead of vanishing.
+/// constraints and the effort counters — partial, internally consistent
+/// results instead of vanishing — plus a key when one that reproduces
+/// every collected constraint was found within the budget (see
+/// [`SatAttackOutcome::key`]). A collapse whose key search ran out of
+/// budget is reported here too, under the budget that stopped it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExhaustCause {
     /// [`SatAttackOptions::max_dips`] ran out.
@@ -145,9 +148,10 @@ pub enum SatAttackStatus {
     /// The key space collapsed: the recovered key is observable-equivalent
     /// to the chip's on **every** input within the cycle bound.
     Recovered,
-    /// A budget ran out or the attack was cancelled before collapse; the
-    /// cause says which. The returned key satisfies every collected I/O
-    /// constraint but the space had not provably collapsed.
+    /// A budget ran out or the attack was cancelled before collapse (or
+    /// before the collapsed space yielded a key); the cause says which.
+    /// A returned key reproduces every collected I/O constraint, but the
+    /// space had not provably collapsed.
     Exhausted(ExhaustCause),
 }
 
@@ -175,8 +179,13 @@ pub struct IoConstraint {
 pub struct SatAttackOutcome {
     /// Terminal status.
     pub status: SatAttackStatus,
-    /// The recovered key (present unless the conflict budget died before
-    /// any model was found).
+    /// The recovered key. Any key returned reproduces every collected
+    /// constraint at the full cycle bound. It is present whenever no
+    /// constraint was collected (every key is then consistent) and on a
+    /// [`SatAttackStatus::Recovered`] outcome against a consistent
+    /// oracle (a collapse whose key search runs out of budget is
+    /// reported `Exhausted` instead); an exhausted attack carries one
+    /// only if it was found within what was left of the budgets.
     pub key: Option<KeyBits>,
     /// Distinguishing inputs found.
     pub dips: u64,
@@ -265,7 +274,7 @@ pub fn sat_attack(
             Step::RoundCancelled => break SatAttackStatus::Exhausted(ExhaustCause::Cancelled),
         }
     };
-    let key = eng.finish_model();
+    let (status, key) = eng.finish_model(status, &constraints);
     if attack_span.recording() {
         attack_span.arg("dips", eng.dips());
         attack_span.arg("conflicts", eng.solver_stats().conflicts);
@@ -306,6 +315,7 @@ pub(crate) enum Step {
 /// both [`sat_attack`] (single engine) and the portfolio (one engine
 /// per racer, coordinated per step).
 pub(crate) struct AttackEngine<'a> {
+    sim: &'a VlogSim,
     enc: Encoder<'a>,
     g: Gates,
     opts: SatAttackOptions,
@@ -319,6 +329,9 @@ pub(crate) struct AttackEngine<'a> {
     act: Lit,
     k_max: u32,
     cons: Vec<ConsEntry>,
+    /// Both keys of the latest satisfiable miter answer: the candidates
+    /// [`AttackEngine::finish_model`] checks before it solves.
+    last_keys: Vec<KeyBits>,
     dips: u64,
     growths: u64,
 }
@@ -353,10 +366,20 @@ impl<'a> AttackEngine<'a> {
         let key_b = KeyLits::fresh(&mut g, sim);
         let mut ua = enc.begin(&mut g, &inputs, &key_a);
         let mut ub = enc.begin(&mut g, &inputs, &key_b);
-        enc.grow(&mut g, &mut ua, k0);
-        enc.grow(&mut g, &mut ub, k0);
+        // One frame at a time, all of `ua` then all of `ub`, so a fired
+        // budget stops the encode between frames. `grow(u, 1)` k times
+        // encodes exactly what `grow(u, k)` does.
+        for u in [&mut ua, &mut ub] {
+            for _ in 0..k0 {
+                if opts.budget.exceeded().is_some() {
+                    break;
+                }
+                enc.grow(&mut g, u, 1);
+            }
+        }
         let tru = g.tru();
         let mut eng = AttackEngine {
+            sim,
             enc,
             g,
             opts: opts.clone(),
@@ -368,11 +391,12 @@ impl<'a> AttackEngine<'a> {
             act: tru,
             k_max,
             cons: Vec::new(),
+            last_keys: Vec::new(),
             dips: 0,
             growths: 0,
         };
         eng.refresh_miter();
-        encode_span.arg("unroll", u64::from(k0));
+        encode_span.arg("unroll", u64::from(eng.depth()));
         encode_span.arg("vars", eng.g.solver_ref().num_vars() as u64);
         encode_span.arg("clauses", eng.g.solver_ref().num_clauses() as u64);
         eng
@@ -438,10 +462,7 @@ impl<'a> AttackEngine<'a> {
     /// depth and classify the result.
     pub(crate) fn step(&mut self) -> Step {
         if let Some(kind) = self.opts.budget.exceeded() {
-            return Step::Exhausted(match kind {
-                CancelKind::Cancelled => ExhaustCause::Cancelled,
-                CancelKind::DeadlineExpired => ExhaustCause::Deadline,
-            });
+            return Step::Exhausted(cancel_cause(kind));
         }
         if let Some(max) = self.opts.max_dips {
             if self.dips >= max {
@@ -463,6 +484,7 @@ impl<'a> AttackEngine<'a> {
         }
         match outcome {
             SolveOutcome::Sat => {
+                self.last_keys = vec![self.key_a.model_key(&self.g), self.key_b.model_key(&self.g)];
                 let done_a = self.g.model(self.ua.done());
                 let done_b = self.g.model(self.ub.done());
                 if (done_a && done_b) || self.depth() == self.k_max {
@@ -516,8 +538,7 @@ impl<'a> AttackEngine<'a> {
     /// was cancelled under this racer".
     fn cancelled_step(&self) -> Step {
         match self.opts.budget.exceeded() {
-            Some(CancelKind::DeadlineExpired) => Step::Exhausted(ExhaustCause::Deadline),
-            Some(CancelKind::Cancelled) => Step::Exhausted(ExhaustCause::Cancelled),
+            Some(kind) => Step::Exhausted(cancel_cause(kind)),
             None => Step::RoundCancelled,
         }
     }
@@ -581,21 +602,84 @@ impl<'a> AttackEngine<'a> {
         }
     }
 
-    /// Any key consistent with every collected I/O pair (the miter's
-    /// difference clause is released by leaving `act` free). This model
-    /// search runs unbudgeted and un-cancelled: the budgets govern the
-    /// collapse proof, and an exhausted or cancelled attack must still
-    /// hand back a key consistent with its partial constraints (the
-    /// true key always satisfies them, so this is cheap).
-    pub(crate) fn finish_model(&mut self) -> Option<KeyBits> {
-        self.g.solver().set_conflict_budget(None);
-        self.g.solver().set_step_budget(None);
-        self.g.solver().set_ctrl(Budget::unlimited());
+    /// A key that reproduces every collected I/O pair at the full bound,
+    /// found within what is left of the attack's budget:
+    ///
+    /// 1. with no constraint every key is consistent, so `key_a`'s
+    ///    saved phases are returned without a solve;
+    /// 2. otherwise the first key of the latest satisfiable miter answer
+    ///    that [`AttackEngine::reproduces`] every label is returned;
+    /// 3. otherwise, unless the attack's `Budget` has fired, the solver
+    ///    searches the constraints (the miter's difference clause is
+    ///    released by leaving `act` free) under the remaining conflict
+    ///    and step budgets, and its key is returned if it passes the
+    ///    same check.
+    ///
+    /// Anything else yields no key, and a `Recovered` status whose key
+    /// search ran out of budget comes back as `Exhausted` under that
+    /// budget. (Only an oracle that contradicts itself leaves a collapse
+    /// without a key: its constraints have no model.)
+    pub(crate) fn finish_model(
+        &mut self,
+        status: SatAttackStatus,
+        constraints: &[IoConstraint],
+    ) -> (SatAttackStatus, Option<KeyBits>) {
         let _model_span = self.opts.obs.span("attack.model");
-        match self.g.solver().solve() {
-            SolveOutcome::Sat => Some(self.key_a.model_key(&self.g)),
-            _ => None,
+        if constraints.is_empty() {
+            return (status, Some(self.key_a.model_key(&self.g)));
         }
+        if let Some(key) = self.last_keys.iter().find(|k| self.reproduces(k, constraints)) {
+            return (status, Some(key.clone()));
+        }
+        let outcome = match self.opts.budget.exceeded() {
+            Some(_) => SolveOutcome::Cancelled,
+            None => {
+                self.set_budget();
+                // A portfolio round leaves its cancelled child budget as
+                // the solver's ctrl; the key search answers to the
+                // attack's own.
+                self.g.solver().set_ctrl(self.opts.budget.clone());
+                self.g.solver().solve()
+            }
+        };
+        let cause = match outcome {
+            SolveOutcome::Sat => {
+                let key = self.key_a.model_key(&self.g);
+                return (status, self.reproduces(&key, constraints).then_some(key));
+            }
+            SolveOutcome::Unsat => return (status, None),
+            SolveOutcome::Budget => self.budget_cause(),
+            SolveOutcome::Cancelled => {
+                self.opts.budget.exceeded().map_or(ExhaustCause::Cancelled, cancel_cause)
+            }
+        };
+        match status {
+            SatAttackStatus::Recovered => (SatAttackStatus::Exhausted(cause), None),
+            exhausted => (exhausted, None),
+        }
+    }
+
+    /// Whether the netlist run with `key` at the full bound reproduces
+    /// every label: a `CycleLimit` run where the label says `done:
+    /// false`, otherwise a finished run with the label's `ret` and
+    /// output memories.
+    fn reproduces(&self, key: &KeyBits, constraints: &[IoConstraint]) -> bool {
+        let opts = SimOptions { max_cycles: u64::from(self.k_max), snapshot_on_timeout: false };
+        let free = self.enc.free_mem_ids();
+        let out = self.enc.out_mem_ids();
+        constraints.iter().all(|c| {
+            let mems: Vec<(usize, Vec<u64>)> =
+                free.iter().copied().zip(c.query.mems.iter().cloned()).collect();
+            match self.sim.simulate(&c.query.args, key, &mems, &opts) {
+                Err(SimError::CycleLimit) => !c.response.done,
+                Ok(r) => {
+                    c.response.done
+                        && r.ret == c.response.ret
+                        && out.iter().map(|&m| &r.mems[m]).eq(&c.response.mems)
+                }
+                Err(_) => false,
+            }
+        })
     }
 
     /// Packages the terminal state into the public outcome.
@@ -620,6 +704,14 @@ impl<'a> AttackEngine<'a> {
             wall,
             constraints,
         }
+    }
+}
+
+/// The exhaust cause a fired attack `Budget` reports.
+pub(crate) fn cancel_cause(kind: CancelKind) -> ExhaustCause {
+    match kind {
+        CancelKind::Cancelled => ExhaustCause::Cancelled,
+        CancelKind::DeadlineExpired => ExhaustCause::Deadline,
     }
 }
 

@@ -23,11 +23,10 @@
 //! ```
 
 use crate::attack::{
-    AttackEngine, AttackQuery, ExhaustCause, IoConstraint, OracleResponse, SatAttackOptions,
-    SatAttackOutcome, SatAttackStatus, Step,
+    cancel_cause, AttackEngine, AttackQuery, ExhaustCause, IoConstraint, OracleResponse,
+    SatAttackOptions, SatAttackOutcome, SatAttackStatus, Step,
 };
 use sat::SolverConfig;
-use sim_core::ctrl::CancelKind;
 use sim_core::faultpoint;
 use sim_core::GridExec;
 use std::sync::Mutex;
@@ -183,10 +182,9 @@ pub fn sat_attack_portfolio(
         let Some(w) = (0..n).find(|&i| !matches!(steps[i], Step::RoundCancelled)) else {
             // Only reachable when the attack budget fired between the
             // racers' own checks; attribute it there.
-            break SatAttackStatus::Exhausted(match opts.budget.exceeded() {
-                Some(CancelKind::DeadlineExpired) => ExhaustCause::Deadline,
-                _ => ExhaustCause::Cancelled,
-            });
+            break SatAttackStatus::Exhausted(
+                opts.budget.exceeded().map_or(ExhaustCause::Cancelled, cancel_cause),
+            );
         };
         winner = w;
         wins[w] += 1;
@@ -215,7 +213,7 @@ pub fn sat_attack_portfolio(
 
     let mut engines: Vec<AttackEngine> =
         engines.into_iter().map(|m| m.into_inner().unwrap()).collect();
-    let key = engines[winner].finish_model();
+    let (status, key) = engines[winner].finish_model(status, &constraints);
     let racers: Vec<RacerReport> = engines
         .iter()
         .zip(&wins)

@@ -109,10 +109,19 @@ pub fn chaos_smoke() -> String {
         ..SatAttackConfig::default()
     });
     assert_eq!(expired.outcome.status, SatAttackStatus::Exhausted(ExhaustCause::Deadline));
+    assert_eq!(expired.outcome.unroll_final, 0, "an expired deadline encodes no frame");
     assert!(expired.outcome.key.is_some(), "even an expired attack hands back a model");
 
     let stepped = att(&SatAttackConfig { step_budget: Some(50), ..SatAttackConfig::default() });
     assert_eq!(stepped.outcome.status, SatAttackStatus::Exhausted(ExhaustCause::StepBudget));
+    // One propagation round may overshoot the budget by at most the
+    // variable count; nothing after the DIP loop may spend more.
+    assert!(
+        stepped.outcome.propagations <= 50 + stepped.outcome.vars as u64,
+        "step budget overrun: {} propagations against 50 over {} vars",
+        stepped.outcome.propagations,
+        stepped.outcome.vars
+    );
 
     let cancelled = att(&SatAttackConfig {
         budget: Budget::unlimited()
@@ -124,7 +133,10 @@ pub fn chaos_smoke() -> String {
     assert_eq!(cancelled.outcome.constraints.len(), 1, "its I/O constraint is handed back");
     lines.push(format!(
         "sat-attack: deadline/step-budget/cancel all degrade to Exhausted partials \
-         ({} constraint retained after mid-run cancel)",
+         (deadline encoded {} frames; step budget 50 spent {} propagations; \
+         {} constraint retained after mid-run cancel)",
+        expired.outcome.unroll_final,
+        stepped.outcome.propagations,
         cancelled.outcome.constraints.len()
     ));
 

@@ -9,18 +9,26 @@
 //!   worker count;
 //! - a cancelled DSE sweep returns a partial front whose points are
 //!   bit-identical to their full-run counterparts and whose Pareto set
-//!   is exactly the front over the completed subset.
+//!   is exactly the front over the completed subset;
+//! - a SAT attack stops within its step budget (plus at most one
+//!   propagation round) and encodes no frame past an expired deadline,
+//!   and any key it returns reproduces every constraint it returns.
 
 // `run_golden` is for the sibling suites.
 #[allow(dead_code)]
 mod common;
 
+use attack_sat::{
+    sat_attack, ExhaustCause, OracleResponse, SatAttackOptions, SatAttackOutcome, SatAttackStatus,
+};
 use common::{gen_program, reference_grid};
-use hls_core::KeyBits;
+use hls_core::{verilog, KeyBits};
 use proptest::prelude::*;
 use rtl::{CompiledFsmd, SimError, SimOptions, TestCase};
 use sim_core::faultpoint::sites;
 use sim_core::{Budget, FaultPlan, GridExec};
+use std::time::Duration;
+use vlog::{VlogSim, VlogTape};
 
 fn locking_key(seed: u64) -> KeyBits {
     let mut s = seed | 1;
@@ -209,4 +217,105 @@ fn dse_partial_front_is_the_front_over_the_completed_subset() {
             );
         }
     }
+}
+
+/// Two kernels of the `sat-attack` corpus, inlined so the test depends
+/// on nothing outside this file: `(source, top, the corpus's unroll
+/// bound)`.
+const ATTACK_KERNELS: [(&str, &str, u32); 2] = [
+    (
+        r#"
+        int clamp(int a, int b) {
+            int r = a + 37;
+            if (r > 200) r = r - 150;
+            if (r < b) r = b ^ 3;
+            return r;
+        }
+        "#,
+        "clamp",
+        16,
+    ),
+    (
+        r#"
+        int chk(int a, int b) {
+            int s = a;
+            for (int i = 0; i < 3; i++) s = (s ^ 11) + b;
+            return s;
+        }
+        "#,
+        "chk",
+        27,
+    ),
+];
+
+/// Attacks a kernel locked with constants + branches (`cb-`), with the
+/// `VlogTape` bound to the working key as the oracle at the attack's
+/// bound `k`, and checks the contract every outcome keeps: a collapse
+/// carries a key, and any returned key reproduces every returned
+/// constraint on the tape at the full bound.
+fn budgeted_attack(
+    (source, top, k): (&str, &str, u32),
+    budget: Budget,
+    step_budget: Option<u64>,
+) -> SatAttackOutcome {
+    let m = hls_frontend::compile(source, top).expect("kernel compiles");
+    let lk = locking_key(0x5a7);
+    let opts = tao::TaoOptions {
+        plan: tao::PlanConfig::techniques(true, true, false),
+        ..tao::TaoOptions::default()
+    };
+    let design = tao::lock(&m, top, &lk, &opts).expect("lock succeeds");
+    let wk = design.working_key(&lk);
+    let sim = VlogSim::new(&verilog::emit(&design.fsmd)).expect("emitted text parses");
+    let tape = VlogTape::compile(&sim).expect("tape compiles");
+    let sim_opts = SimOptions { max_cycles: u64::from(k), snapshot_on_timeout: false };
+    let mut runner = tape.runner();
+    let mut label = |args: &[u64], key: &KeyBits| match runner.run(args, key, &[], &sim_opts) {
+        Ok(res) => OracleResponse { done: true, ret: res.ret, mems: vec![] },
+        Err(SimError::CycleLimit) => OracleResponse { done: false, ret: None, mems: vec![] },
+        Err(e) => panic!("{top}: tape run failed: {e}"),
+    };
+    let attack_opts =
+        SatAttackOptions { unroll_cycles: k, step_budget, budget, ..Default::default() };
+    let out = sat_attack(&sim, &attack_opts, &mut |q| label(&q.args, &wk));
+    assert!(!out.status.is_recovered() || out.key.is_some(), "{top}: a collapse carries a key");
+    if let Some(key) = &out.key {
+        for c in &out.constraints {
+            assert_eq!(label(&c.query.args, key), c.response, "{top}: key violates a constraint");
+        }
+    }
+    out
+}
+
+#[test]
+fn attack_budgets_bound_the_effort_and_keep_keys_consistent() {
+    let mut checked = 0;
+    for kernel @ (_, top, _) in ATTACK_KERNELS {
+        // 20,000 propagations stop both attacks before their first DIP;
+        // 800,000 let each label a few, so the key check has work to do.
+        for steps in [20_000u64, 800_000] {
+            let out = budgeted_attack(kernel, Budget::unlimited(), Some(steps));
+            assert_eq!(out.status, SatAttackStatus::Exhausted(ExhaustCause::StepBudget), "{top}");
+            // One propagation round may overshoot by at most the
+            // variable count.
+            assert!(
+                out.propagations <= steps + out.vars as u64,
+                "{top}: {} propagations against a {steps} budget over {} vars",
+                out.propagations,
+                out.vars
+            );
+            if out.key.is_some() {
+                checked += out.constraints.len();
+            }
+        }
+    }
+    assert!(checked > 0, "no budgeted attack returned a key over a constraint");
+    let out = budgeted_attack(
+        ATTACK_KERNELS[0],
+        Budget::unlimited().with_deadline_after(Duration::ZERO),
+        None,
+    );
+    assert_eq!(out.status, SatAttackStatus::Exhausted(ExhaustCause::Deadline));
+    assert_eq!(out.unroll_final, 0, "an expired deadline encodes no frame");
+    assert!(out.key.is_some(), "with no constraint every key is consistent");
 }
