@@ -27,7 +27,6 @@ const KNOWN: &[&str] = &[
     "dse",
     "dse-smoke",
     "vlog-diff",
-    "vlog-diff-smoke",
     "sim-bench",
     "sim-bench-smoke",
     "analyze",
@@ -226,12 +225,6 @@ fn main() {
                 // Three-way differential: all five kernels, correct key +
                 // 8 wrong keys, interpreter vs FSMD sim vs emitted Verilog.
                 let rows = vlog_diff(8);
-                println!("{}", render_vlogdiff(&rows));
-                assert!(vlog_diff_clean(&rows), "differential verification failed: {rows:?}");
-            }
-            "vlog-diff-smoke" => {
-                // CI-sized differential: 2 kernels × (1 correct + 3 wrong).
-                let rows = vlog_diff_smoke();
                 println!("{}", render_vlogdiff(&rows));
                 assert!(vlog_diff_clean(&rows), "differential verification failed: {rows:?}");
             }

@@ -55,4 +55,4 @@ pub use simbench::{
     sim_bench_smoke, spec_smoke, SimBenchRow, GRID_FLOOR, GRID_FLOOR_MIN_WORKERS, SPEC_FLOOR,
     VLOG_TAPE_FLOOR,
 };
-pub use vlogdiff::{vlog_diff, vlog_diff_clean, vlog_diff_smoke, VlogDiffRow};
+pub use vlogdiff::{vlog_diff, vlog_diff_clean, VlogDiffRow};

@@ -35,6 +35,8 @@ pub struct VlogDiffRow {
     pub wrong_clean: usize,
     /// Budget-limited runs (wrong keys altering loop bounds).
     pub timeouts: usize,
+    /// Runs both RTL layers rejected before simulating (must be 0).
+    pub rejected: usize,
     /// Mean wrong-key output Hamming fraction.
     pub avg_hd: f64,
 }
@@ -76,6 +78,7 @@ fn diff_benchmark(b: &Benchmark, n_cases: usize, n_wrong: usize) -> VlogDiffRow 
         wrong_corrupted: report.wrong_key_corrupted,
         wrong_clean: report.wrong_key_clean,
         timeouts: report.timeouts,
+        rejected: report.rejected.len(),
         avg_hd: report.avg_wrong_hd,
     }
 }
@@ -86,20 +89,12 @@ pub fn vlog_diff(n_wrong: usize) -> Vec<VlogDiffRow> {
     benchmarks::all().iter().map(|b| diff_benchmark(b, 2, n_wrong)).collect()
 }
 
-/// CI-sized smoke differential: 2 kernels × 1 stimulus × (1 correct + 3
-/// wrong) keys.
-pub fn vlog_diff_smoke() -> Vec<VlogDiffRow> {
-    ["sobel", "gsm"]
-        .iter()
-        .map(|n| diff_benchmark(&benchmarks::by_name(n).expect("suite kernel"), 1, 3))
-        .collect()
-}
-
 /// `true` when every row satisfies the differential contract.
 pub fn vlog_diff_clean(rows: &[VlogDiffRow]) -> bool {
     rows.iter().all(|r| {
         r.rtl_vlog_mismatches == 0
             && r.golden_failures == 0
+            && r.rejected == 0
             && r.wrong_clean == 0
             && r.wrong_corrupted > 0
     })
@@ -111,8 +106,9 @@ mod tests {
 
     #[test]
     fn smoke_differential_is_clean() {
-        let rows = vlog_diff_smoke();
-        assert_eq!(rows.len(), 2);
+        // Every kernel, 2 stimuli × (1 correct + 1 wrong) keys.
+        let rows = vlog_diff(1);
+        assert_eq!(rows.len(), 5);
         assert!(vlog_diff_clean(&rows), "{rows:?}");
         for r in &rows {
             assert_eq!(r.comparisons, 4, "{}", r.name);

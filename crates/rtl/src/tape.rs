@@ -17,15 +17,29 @@
 //! a linear walk over plain slices — no per-read key-bit loops, no
 //! per-cycle allocation, no `mems` clone for discarded results.
 //!
+//! [`FsmdRunner::run`] also fast-forwards a run that provably loops. The
+//! state of a run is its FSM state, every register, every memory some op
+//! stores to, and the pending multi-cycle results with their due cycles
+//! taken relative to the current one. A [`LoopDetector`] snapshots it on
+//! Brent's schedule; the FSM state is the filter word compared after
+//! every transition. When the state recurs before the design finishes,
+//! the run repeats that lap until its budget, so the runner returns
+//! `CycleLimit` at once, or, with `snapshot_on_timeout`, advances the
+//! cycle counter (and the pending due cycles) by the whole laps that fit
+//! and simulates only the remainder. [`FsmdRunner::run_traced`] is the
+//! same loop with the check compiled out, so its observer sees every
+//! cycle.
+//!
 //! The backend is bit-for-bit and cycle-for-cycle identical to
 //! [`crate::simulate`], including error and snapshot-on-timeout
 //! behaviour; `tests/prop_vlog.rs` proves it on random kernels × stimuli
-//! × keys.
+//! × keys, wrong keys that loop included.
 
 use crate::sim::{wrap_index, SimError, SimOptions, SimResult, SimStats};
 use crate::testbench::{OutputImage, TestCase};
 use hls_core::{Fsmd, FuOp, KeyBits, KeyRange, NextState};
 use hls_ir::{ArrayId, Type};
+use sim_core::LoopDetector;
 use std::collections::BTreeMap;
 
 /// Operand source with the constant index pre-resolved into the runner's
@@ -233,6 +247,8 @@ impl CompiledFsmd {
             sel_variant: vec![0; self.states.len()],
             branch_xor: vec![0; self.states.len()],
             bound_key: None,
+            det: LoopDetector::default(),
+            pending_rel: Vec::new(),
         }
     }
 
@@ -310,6 +326,11 @@ pub struct FsmdRunner<'a> {
     sel_variant: Vec<u32>,
     branch_xor: Vec<u64>,
     bound_key: Option<KeyBits>,
+    /// Brent's snapshots of the untraced run path (see [`sim_core::loops`]).
+    det: LoopDetector,
+    /// `pending` with due cycles relative to the current one, the form in
+    /// which the loop detector stores and compares it.
+    pending_rel: Vec<u64>,
 }
 
 impl FsmdRunner<'_> {
@@ -350,7 +371,7 @@ impl FsmdRunner<'_> {
         mem_overrides: &[(usize, &[u64])],
         opts: &SimOptions,
     ) -> Result<SimStats, SimError> {
-        self.run_traced(args, key, mem_overrides, opts, |_, _, _| {})
+        self.run_inner::<true, _>(args, key, mem_overrides, opts, |_, _, _| {})
     }
 
     /// [`FsmdRunner::run`] with a per-cycle change observer: after every
@@ -363,13 +384,31 @@ impl FsmdRunner<'_> {
     /// away.
     ///
     /// Cycles cut off by the budget never reach the observer — their
-    /// clock edge did not happen.
+    /// clock edge did not happen. The observer sees every cycle: this
+    /// path never fast-forwards a run that loops.
     ///
     /// # Errors
     ///
     /// Returns [`SimError`] on interface mismatches or an exhausted cycle
     /// budget (unless `opts.snapshot_on_timeout`).
     pub fn run_traced<F>(
+        &mut self,
+        args: &[u64],
+        key: &KeyBits,
+        mem_overrides: &[(usize, &[u64])],
+        opts: &SimOptions,
+        on_cycle: F,
+    ) -> Result<SimStats, SimError>
+    where
+        F: FnMut(u64, &[u64], bool),
+    {
+        self.run_inner::<false, _>(args, key, mem_overrides, opts, on_cycle)
+    }
+
+    /// The cycle loop of [`FsmdRunner::run`] (`DETECT`: fast-forwards a
+    /// run whose full state recurs) and [`FsmdRunner::run_traced`] (the
+    /// same loop with the check compiled out).
+    fn run_inner<const DETECT: bool, F>(
         &mut self,
         args: &[u64],
         key: &KeyBits,
@@ -410,17 +449,28 @@ impl FsmdRunner<'_> {
 
         let mut state = c.entry as usize;
         let mut cycles = 0u64;
+        // Brent's snapshot schedule rides on the budget compare: `limit`
+        // is the budget or the next snapshot cycle, whichever comes
+        // first. `filt` is the snapshot's FSM state, the detector's
+        // filter word.
+        let mut limit =
+            if DETECT { opts.max_cycles.min(self.det.start()) } else { opts.max_cycles };
+        let mut filt = usize::MAX;
         loop {
             cycles += 1;
-            if cycles > opts.max_cycles {
-                if opts.snapshot_on_timeout {
-                    return Ok(SimStats {
-                        ret: c.ret_reg.map(|r| self.regs[r as usize]),
-                        cycles: cycles - 1,
-                        timed_out: true,
-                    });
+            if cycles > limit {
+                if !DETECT || cycles > opts.max_cycles {
+                    if opts.snapshot_on_timeout {
+                        return Ok(SimStats {
+                            ret: c.ret_reg.map(|r| self.regs[r as usize]),
+                            cycles: cycles - 1,
+                            timed_out: true,
+                        });
+                    }
+                    return Err(SimError::CycleLimit);
                 }
-                return Err(SimError::CycleLimit);
+                limit = opts.max_cycles.min(self.snapshot(state, cycles - 1));
+                filt = state;
             }
             let (start, len) = c.variants[self.sel_variant[state] as usize];
             let ops = &c.ops[start as usize..(start + len) as usize];
@@ -500,7 +550,21 @@ impl FsmdRunner<'_> {
             on_cycle(cycles, &self.regs, next.is_none());
 
             match next {
-                Some(t) => state = t,
+                Some(t) => {
+                    state = t;
+                    if DETECT && t == filt {
+                        if let Some(at) = self.fast_forward(t, cycles, opts.max_cycles) {
+                            // The state after `cycles` recurs: the run
+                            // never finishes, and at cycle `at` it is
+                            // here again.
+                            if !opts.snapshot_on_timeout {
+                                return Err(SimError::CycleLimit);
+                            }
+                            cycles = at;
+                            limit = opts.max_cycles;
+                        }
+                    }
+                }
                 None => {
                     return Ok(SimStats {
                         ret: c.ret_reg.map(|r| self.regs[r as usize]),
@@ -510,6 +574,35 @@ impl FsmdRunner<'_> {
                 }
             }
         }
+    }
+
+    /// Snapshots the state after `cycle` (FSM state, registers, written
+    /// memories, pending results) and returns the next snapshot cycle.
+    #[cold]
+    #[inline(never)]
+    fn snapshot(&mut self, state: usize, cycle: u64) -> u64 {
+        let FsmdRunner { c, regs, mems, pending, det, pending_rel, .. } = self;
+        relative_pending(pending_rel, pending, cycle);
+        det.snapshot(cycle, state as u64, regs, written_mems(c, mems).chain([&pending_rel[..]]))
+    }
+
+    /// When the state after `cycle` equals the snapshot, skips the whole
+    /// laps that fit in `budget` (see [`LoopDetector::skip`]) and
+    /// returns the cycle it lands on. Memories no op stores to are
+    /// constant within a run, so they are left out of the state.
+    #[cold]
+    #[inline(never)]
+    fn fast_forward(&mut self, state: usize, cycle: u64, budget: u64) -> Option<u64> {
+        let FsmdRunner { c, regs, mems, pending, det, pending_rel, .. } = self;
+        let skip = det.skip(cycle, budget, state as u64, regs, || {
+            relative_pending(pending_rel, pending, cycle);
+            let rel: &[u64] = pending_rel;
+            written_mems(c, mems).chain([rel])
+        })?;
+        for p in pending.iter_mut() {
+            p.0 += skip;
+        }
+        Some(cycle + skip)
     }
 
     /// Runs an `rtl::TestCase`, resolving array inputs through the
@@ -565,11 +658,14 @@ impl FsmdRunner<'_> {
     }
 
     /// Final memory images of the last run (indexed like `Fsmd::mems`).
+    /// After a run that returned an error they hold wherever it stopped:
+    /// a run that provably loops stops before its budget.
     pub fn mems(&self) -> &[Vec<u64>] {
         &self.mems
     }
 
-    /// Final register values of the last run.
+    /// Final register values of the last run (after an error, see
+    /// [`FsmdRunner::mems`]).
     pub fn regs(&self) -> &[u64] {
         &self.regs
     }
@@ -584,6 +680,22 @@ impl FsmdRunner<'_> {
             timed_out: stats.timed_out,
             regs: self.regs.clone(),
         }
+    }
+}
+
+/// The images of the memories some op stores to, in memory order.
+fn written_mems<'a>(c: &'a CompiledFsmd, mems: &'a [Vec<u64>]) -> impl Iterator<Item = &'a [u64]> {
+    mems.iter().zip(&c.mems).filter(|(_, m)| m.written).map(|(d, _)| d.as_slice())
+}
+
+/// Encodes `pending` as its length, then `(due − cycle, reg, value)` per
+/// result in order: two states with equal encodings apply the same writes
+/// at the same offsets from now.
+fn relative_pending(out: &mut Vec<u64>, pending: &[(u64, u32, u64)], cycle: u64) {
+    out.clear();
+    out.push(pending.len() as u64);
+    for &(due, r, v) in pending {
+        out.extend([due - cycle, u64::from(r), v]);
     }
 }
 
@@ -705,6 +817,103 @@ mod tests {
             let got = got.as_ref().unwrap();
             assert_eq!(got.ret, want.ret);
             assert_eq!(got.cycles, want.cycles);
+        }
+    }
+
+    /// Spins unless `n == 7`, storing a multi-cycle product every
+    /// iteration: after a short pre-period the full state (FSM state,
+    /// `x`, `i`, `buf`, the pending products) repeats every four
+    /// iterations.
+    const CHURN: &str = r#"
+        int buf[4];
+        int churn(int n) {
+            int x = 1;
+            int i = 0;
+            while (n != 7) {
+                buf[i] = x * 3;
+                x = (x * 5) & 15;
+                i = (i + 1) & 3;
+            }
+            return x;
+        }
+    "#;
+
+    /// Spins unless `n == 7`, toggling `x` every iteration.
+    const TOGGLE: &str = "int toggle(int n) { int x = 0; while (n != 7) { x = 1 - x; } return x; }";
+
+    #[test]
+    fn fast_forward_matches_the_traced_run_at_every_budget() {
+        // `run` fast-forwards a run that loops; `run_traced` simulates
+        // every cycle. Every budget up to 300 covers the pre-period and
+        // the budgets on and one past each of the first period
+        // boundaries; the far window covers them after many laps.
+        let fsmd = synth(CHURN, "churn");
+        let c = CompiledFsmd::compile(&fsmd);
+        let (mut fast, mut slow) = (c.runner(), c.runner());
+        let key = KeyBits::zero(0);
+        for max_cycles in (0..=300).chain(20_000..20_060) {
+            for snapshot_on_timeout in [false, true] {
+                let opts = SimOptions { max_cycles, snapshot_on_timeout };
+                for n in [0, 7] {
+                    let got = fast.run(&[n], &key, &[], &opts);
+                    let want = slow.run_traced(&[n], &key, &[], &opts, |_, _, _| {});
+                    assert_eq!(got, want, "n {n}, {opts:?}");
+                    // An error leaves no result behind; a run that
+                    // returns one must match in every register and
+                    // memory word.
+                    if got.is_ok() {
+                        assert_eq!(fast.regs(), slow.regs(), "n {n}, {opts:?}");
+                        assert_eq!(fast.mems(), slow.mems(), "n {n}, {opts:?}");
+                    }
+                }
+            }
+        }
+        // The loop is caught (a run of 2^40 cycles would not return).
+        let far = SimOptions { max_cycles: 1 << 40, snapshot_on_timeout: true };
+        assert_eq!(fast.run(&[0], &key, &[], &far).unwrap().cycles, 1 << 40);
+    }
+
+    /// The register file after each cycle of a traced `len`-cycle run.
+    fn trace_regs(runner: &mut FsmdRunner<'_>, len: u64) -> Vec<Vec<u64>> {
+        let mut trace = Vec::new();
+        let opts = SimOptions { max_cycles: len, snapshot_on_timeout: true };
+        runner
+            .run_traced(&[0], &KeyBits::zero(0), &[], &opts, |_, regs, _| trace.push(regs.to_vec()))
+            .unwrap();
+        trace
+    }
+
+    #[test]
+    fn a_trillion_cycle_budget_lands_on_the_closed_form() {
+        let fsmd = synth(TOGGLE, "toggle");
+        let c = CompiledFsmd::compile(&fsmd);
+        let mut runner = c.runner();
+        // From the traced run: the register holding `x` flips every
+        // `lap` cycles from cycle `first` on, so after cycle `t ≥ first`
+        // it holds `((t − first) / lap + 1) mod 2`.
+        let trace = trace_regs(&mut runner, 400);
+        let x = (0..trace[0].len())
+            .find(|&r| {
+                trace.iter().all(|regs| regs[r] <= 1)
+                    && trace.iter().filter(|regs| regs[r] == 1).count() > 50
+            })
+            .expect("a register toggles");
+        let flips: Vec<u64> = (1..trace.len())
+            .filter(|&t| trace[t][x] != trace[t - 1][x])
+            .map(|t| t as u64 + 1)
+            .collect();
+        let (first, lap) = (flips[0], flips[1] - flips[0]);
+        let closed = |t: u64| if t < first { 0 } else { ((t - first) / lap + 1) % 2 };
+        for (t, regs) in trace.iter().enumerate() {
+            assert_eq!(regs[x], closed(t as u64 + 1), "cycle {}", t + 1);
+        }
+        for budget in [1_000_000_000_000u64, 1_000_000_000_001] {
+            let opts = SimOptions { max_cycles: budget, snapshot_on_timeout: true };
+            let stats = runner.run(&[0], &KeyBits::zero(0), &[], &opts).unwrap();
+            assert_eq!((stats.cycles, stats.timed_out), (budget, true));
+            assert_eq!(runner.regs()[x], closed(budget));
+            let opts = SimOptions { max_cycles: budget, snapshot_on_timeout: false };
+            assert_eq!(runner.run(&[0], &KeyBits::zero(0), &[], &opts), Err(SimError::CycleLimit));
         }
     }
 }

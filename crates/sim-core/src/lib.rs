@@ -22,6 +22,10 @@
 //!   dying trial becomes a per-slot [`SimError::WorkerPanic`] cell, never
 //!   a poisoned sweep) and checks the executor's [`Budget`] before every
 //!   steal.
+//! - [`loops`]: [`LoopDetector`], Brent's cycle detection over a run's
+//!   full state. Both compiled tapes use it to fast-forward a run that
+//!   provably loops (a wrong key that bends a loop bound) to its cycle
+//!   budget, exactly, instead of simulating every lap.
 //! - [`ctrl`]: the cooperative control plane — [`CancelToken`],
 //!   [`Deadline`] and the combined [`Budget`] handle that every
 //!   long-running loop (grid, SAT search, DIP attack, DSE) checks to
@@ -77,6 +81,7 @@ pub mod contract;
 pub mod ctrl;
 pub mod faultpoint;
 pub mod grid;
+pub mod loops;
 pub mod traits;
 pub mod wave;
 
@@ -86,5 +91,6 @@ pub use contract::{
 pub use ctrl::{Budget, CancelKind, CancelToken, Deadline};
 pub use faultpoint::{FaultAction, FaultPlan, FaultSpec};
 pub use grid::{GridExec, TrialCell};
+pub use loops::LoopDetector;
 pub use traits::{BatchRunner, Simulator};
 pub use wave::{SignalTrace, Waveform};

@@ -19,12 +19,23 @@
 //! when the key is correct, and must be corrupted by every wrong key.
 //! Any disagreement is a real bug in the emitter or one of the
 //! simulators, which is what makes every future emitter change provable.
+//!
+//! A wrong key that bends a loop bound never finishes, and both tapes
+//! fast-forward such a run once its whole state recurs: under a
+//! snapshot budget they still return the exact state at the budget,
+//! and without one they return `CycleLimit` as soon as the loop is
+//! proven. Either way the pair counts as a timeout. A pair both layers
+//! reject with any other error (a key of the wrong width) ran nothing;
+//! it is listed in [`DifferentialReport::rejected`] and leaves the
+//! report unclean.
 
 use crate::flow::LockedDesign;
 use hls_core::{verilog, KeyBits};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rtl::{golden_outputs, images_equal, CompiledFsmd, OutputImage, SimOptions, TestCase};
+use rtl::{
+    golden_outputs, images_equal, CompiledFsmd, OutputImage, SimError, SimOptions, TestCase,
+};
 use sim_core::{GridExec, TrialCell};
 use std::fmt;
 use vlog::{VlogError, VlogTape};
@@ -85,8 +96,17 @@ pub struct DifferentialReport {
     pub wrong_key_clean: usize,
     /// Wrong-key runs with corrupted outputs.
     pub wrong_key_corrupted: usize,
-    /// Runs cut off by the cycle budget (wrong keys altering loop bounds).
+    /// Runs cut off by the cycle budget (wrong keys altering loop bounds):
+    /// a budget-cut snapshot, or `CycleLimit` on both layers. Since the
+    /// tapes fast-forward a run whose state recurs, a run without
+    /// snapshots returns `CycleLimit` as soon as it provably loops; it
+    /// counts here all the same.
     pub timeouts: usize,
+    /// `"{trial}/case-{c}: …"` for pairs that both layers rejected with
+    /// the same error other than `CycleLimit` (a key of the wrong width,
+    /// a wrong argument count): nothing was simulated, so the pair can
+    /// neither time out nor corrupt. Must be empty.
+    pub rejected: Vec<String>,
     /// Mean output-corruptibility Hamming fraction over wrong-key runs.
     pub avg_wrong_hd: f64,
     /// `(trial, case)` pairs skipped because the executor's budget ran
@@ -107,6 +127,7 @@ impl DifferentialReport {
     pub fn is_clean(&self) -> bool {
         self.rtl_vlog_mismatches.is_empty()
             && self.golden_failures.is_empty()
+            && self.rejected.is_empty()
             && self.wrong_key_clean == 0
             && self.skipped == 0
             && self.panics == 0
@@ -128,7 +149,8 @@ impl fmt::Display for DifferentialReport {
             self.timeouts,
             self.avg_wrong_hd,
         )?;
-        for m in self.rtl_vlog_mismatches.iter().chain(&self.golden_failures) {
+        for m in self.rtl_vlog_mismatches.iter().chain(&self.golden_failures).chain(&self.rejected)
+        {
             writeln!(f, "  ✗ {m}")?;
         }
         for label in &self.panic_labels {
@@ -148,8 +170,11 @@ struct TrialOutcome {
     /// FSMD-vs-Verilog divergence description, if any.
     mismatch: Option<String>,
     /// The run counted toward the timeout tally (budget-cut snapshot or
-    /// matching `CycleLimit` errors on both layers).
+    /// `CycleLimit` on both layers).
     timed_out: bool,
+    /// The error both layers rejected the run with, when it is not
+    /// `CycleLimit`.
+    rejected: Option<SimError>,
     /// The FSMD output image when both layers terminated.
     image: Option<OutputImage>,
 }
@@ -259,21 +284,30 @@ fn compare_pair(
             } else {
                 None
             };
-            TrialOutcome { mismatch, timed_out: rr.timed_out, image: Some(fi) }
+            TrialOutcome { mismatch, timed_out: rr.timed_out, rejected: None, image: Some(fi) }
         }
-        (Err(re), Err(ve)) => {
-            let mismatch = (re != ve)
-                .then(|| format!("{}: errors diverged (fsmd {re} vs vlog {ve})", trial.label));
-            TrialOutcome { timed_out: mismatch.is_none(), mismatch, image: None }
-        }
+        (Err(re), Err(ve)) if re == ve => TrialOutcome {
+            mismatch: None,
+            timed_out: *re == SimError::CycleLimit,
+            rejected: (*re != SimError::CycleLimit).then(|| re.clone()),
+            image: None,
+        },
+        (Err(re), Err(ve)) => TrialOutcome {
+            mismatch: Some(format!("{}: errors diverged (fsmd {re} vs vlog {ve})", trial.label)),
+            timed_out: false,
+            rejected: None,
+            image: None,
+        },
         (Ok(_), Err(e)) => TrialOutcome {
             mismatch: Some(format!("{}: fsmd completed but vlog failed ({e})", trial.label)),
             timed_out: false,
+            rejected: None,
             image: None,
         },
         (Err(e), Ok(_)) => TrialOutcome {
             mismatch: Some(format!("{}: vlog completed but fsmd failed ({e})", trial.label)),
             timed_out: false,
+            rejected: None,
             image: None,
         },
     }
@@ -312,6 +346,12 @@ fn fold_outcomes(
         report.comparisons += 1;
         if let Some(m) = outcome.mismatch {
             report.rtl_vlog_mismatches.push(m);
+        }
+        if let Some(e) = outcome.rejected {
+            report
+                .rejected
+                .push(format!("{}/case-{c}: both layers rejected the run ({e})", trial.label));
+            continue;
         }
         if outcome.timed_out {
             report.timeouts += 1;
@@ -422,6 +462,25 @@ mod tests {
         assert_eq!(out.comparisons, 0);
         assert_eq!(out.skipped, cases.len() * trials.len());
         assert!(!out.is_clean(), "skipped work must not read as a clean verdict");
+    }
+
+    #[test]
+    fn a_run_both_layers_reject_is_not_a_clean_timeout() {
+        let m = hls_frontend::compile(KERNEL, "t").unwrap();
+        let lk = locking(7);
+        let d = lock(&m, "fir", &lk, &TaoOptions::default()).unwrap();
+        let cases = [TestCase::args(&[3, 4])];
+        let mut trials = standard_trials(&d, &lk, 1, 0x5407);
+        let short = KeyBits::from_fn(d.fsmd.key_width - 1, || u64::MAX);
+        trials.push(KeyTrial { label: "short".into(), working_key: short, expect_golden: false });
+        let opts = SimOptions { max_cycles: 200_000, snapshot_on_timeout: true };
+        let report = differential_verify(&d, &cases, &trials, &opts).unwrap();
+        assert!(!report.is_clean(), "{report}");
+        assert_eq!((report.comparisons, report.timeouts), (3, 0), "{report}");
+        assert_eq!(report.wrong_key_corrupted, 1, "{report}");
+        assert_eq!(report.rejected.len(), 1, "{report}");
+        let shown = report.to_string();
+        assert!(shown.contains("short/case-0") && shown.contains("-bit working key"), "{shown}");
     }
 
     #[test]

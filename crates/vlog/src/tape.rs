@@ -29,17 +29,31 @@
 //!   their jump target once per run and replay it from a cache;
 //! - **batch execution** — [`TapeRunner`] reuses every buffer across
 //!   stimuli and keys, and returns [`SimStats`] without cloning memory
-//!   images.
+//!   images;
+//! - **loop fast-forward** — [`TapeRunner::run`] snapshots the run's
+//!   state (every signal value and every memory the module writes) on
+//!   Brent's schedule with a [`LoopDetector`]. When the state recurs
+//!   before `done` rises, the run repeats that lap until its budget, so
+//!   the runner returns `CycleLimit` at once, or, with
+//!   `snapshot_on_timeout`, skips the whole laps that fit and simulates
+//!   only the remainder. Wires need no snapshot: they are recomputed
+//!   every cycle, and run-stable wires and switch caches are constant
+//!   within a run. The filter word compared after every edge is the
+//!   `state` register that `hls_core::verilog::emit` declares; a text
+//!   without a `state` register filters on `done`, which is low on every
+//!   cycle the check runs, so each cycle takes the full comparison:
+//!   slower, and still exact. [`TapeRunner::run_traced`] never
+//!   fast-forwards, so its observer sees every cycle.
 //!
 //! The backend is bit-for-bit and cycle-for-cycle identical to the tree
 //! interpreter — including `CycleLimit`, snapshot and interface-error
 //! behaviour — which `tests/prop_vlog.rs` enforces on random kernels ×
-//! stimuli × keys.
+//! stimuli × keys, wrong keys that loop and mutated texts included.
 
 use crate::ast;
 use crate::sim::{extend, mask, to_signed, CExpr, CStmt, SigKind, VlogError, VlogSim};
 use hls_core::KeyBits;
-use sim_core::{OutputImage, SimError, SimOptions, SimResult, SimStats, TestCase};
+use sim_core::{LoopDetector, OutputImage, SimError, SimOptions, SimResult, SimStats, TestCase};
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -254,6 +268,10 @@ pub struct VlogTape {
     /// Declared width of the `ret` port (0 when absent).
     ret_width: u32,
     done: usize,
+    /// Signal whose value is the loop detector's filter word: the `state`
+    /// register, or `done` in a text that declares no `state` (see the
+    /// module docs).
+    filter: usize,
     reg_ids: Vec<usize>,
     /// Declared width of each datapath register (`r{i}` in index order;
     /// 1 for indices the module never declared).
@@ -317,6 +335,7 @@ impl VlogTape {
             stamp: 0,
             switch_cache: vec![u32::MAX; self.n_caches as usize],
             key_cache: None,
+            det: LoopDetector::default(),
         }
     }
 
@@ -420,6 +439,11 @@ impl sim_core::BatchRunner for GridRunner<'_> {
 
 // ---------------------------------------------------------------- runner
 
+/// The images of the memories the module writes, in declaration order.
+fn written_mems<'a>(t: &'a VlogTape, mems: &'a [Vec<u64>]) -> impl Iterator<Item = &'a [u64]> {
+    mems.iter().zip(&t.mems).filter(|(_, m)| m.written).map(|(d, _)| d.as_slice())
+}
+
 /// Reusable execution state for a [`VlogTape`]: the unified value array,
 /// the memory images, the wire stamps and the dispatch caches, all
 /// allocated once and reused across runs — the batch half of the
@@ -445,6 +469,8 @@ pub struct TapeRunner<'a> {
     /// the last bound key, restored instead of re-evaluated while the
     /// key is unchanged (see [`crate::spec`]).
     key_cache: Option<crate::spec::KeyConstCache>,
+    /// Brent's snapshots of the untraced run path (see [`sim_core::loops`]).
+    det: LoopDetector,
 }
 
 impl TapeRunner<'_> {
@@ -472,7 +498,9 @@ impl TapeRunner<'_> {
     /// cycle number, the datapath registers (`r{i}` in index order) and
     /// the done flag; cycles cut by the budget are never reported. The
     /// untraced [`TapeRunner::run`] monomorphizes the same loop with the
-    /// observer compiled out, so tracing costs nothing when unused.
+    /// observer compiled out, so tracing costs nothing when unused, and
+    /// the loop detector compiled in. This path never fast-forwards a run
+    /// that loops, so the observer sees every cycle.
     ///
     /// # Errors
     ///
@@ -580,13 +608,23 @@ impl TapeRunner<'_> {
         // run, and only on the traced instantiation.
         let mut scratch: Vec<u64> = if TRACED { vec![0; t.reg_ids.len()] } else { Vec::new() };
         let mut cycles = 0u64;
+        // Brent's snapshot schedule rides on the budget compare: `limit`
+        // is the budget or the next snapshot cycle, whichever comes
+        // first. `filt` is the snapshot's filter word.
+        let mut limit =
+            if TRACED { opts.max_cycles } else { opts.max_cycles.min(self.det.start()) };
+        let mut filt = u64::MAX;
         loop {
             cycles += 1;
-            if cycles > opts.max_cycles {
-                if opts.snapshot_on_timeout {
-                    return Ok(self.stats(cycles - 1, true));
+            if cycles > limit {
+                if TRACED || cycles > opts.max_cycles {
+                    if opts.snapshot_on_timeout {
+                        return Ok(self.stats(cycles - 1, true));
+                    }
+                    return Err(SimError::CycleLimit);
                 }
-                return Err(SimError::CycleLimit);
+                limit = opts.max_cycles.min(self.snapshot(cycles - 1));
+                filt = self.v[t.filter];
             }
             self.posedge();
             let done = self.v[t.done] & 1 == 1;
@@ -599,7 +637,41 @@ impl TapeRunner<'_> {
             if done {
                 return Ok(self.stats(cycles, false));
             }
+            if !TRACED && self.v[t.filter] == filt {
+                if let Some(at) = self.fast_forward(cycles, opts.max_cycles) {
+                    // The state after `cycles` recurs: the run never
+                    // finishes, and at cycle `at` it is here again.
+                    if !opts.snapshot_on_timeout {
+                        return Err(SimError::CycleLimit);
+                    }
+                    cycles = at;
+                    limit = opts.max_cycles;
+                }
+            }
         }
+    }
+
+    /// Snapshots the state after `cycle` and returns the next snapshot
+    /// cycle. The state is every signal and every written memory: wires
+    /// are recomputed each cycle, run-stable wires and switch caches are
+    /// constant within a run, and so are memories the module never
+    /// writes.
+    #[cold]
+    #[inline(never)]
+    fn snapshot(&mut self, cycle: u64) -> u64 {
+        let (t, state) = (self.t, &self.v[..self.t.n_sigs]);
+        self.det.snapshot(cycle, state[t.filter], state, written_mems(t, &self.mems))
+    }
+
+    /// When the state after `cycle` equals the snapshot, skips the whole
+    /// laps that fit in `budget` (see [`LoopDetector::skip`]) and
+    /// returns the cycle it lands on.
+    #[cold]
+    #[inline(never)]
+    fn fast_forward(&mut self, cycle: u64, budget: u64) -> Option<u64> {
+        let (t, state) = (self.t, &self.v[..self.t.n_sigs]);
+        let tail = || written_mems(t, &self.mems);
+        self.det.skip(cycle, budget, state[t.filter], state, tail).map(|skip| cycle + skip)
     }
 
     /// Runs an `rtl::TestCase`, resolving array inputs through
@@ -661,13 +733,15 @@ impl TapeRunner<'_> {
     }
 
     /// Final memory images of the last run (indexed like the module's
-    /// memory declarations).
+    /// memory declarations). After a run that returned an error they
+    /// hold wherever it stopped: a run that provably loops stops before
+    /// its budget.
     pub fn mems(&self) -> &[Vec<u64>] {
         &self.mems
     }
 
     /// Final datapath register values (`r{i}` in index order) of the
-    /// last run.
+    /// last run (after an error, see [`TapeRunner::mems`]).
     pub fn regs(&self) -> Vec<u64> {
         self.t.reg_ids.iter().map(|&id| if id == usize::MAX { 0 } else { self.v[id] }).collect()
     }
@@ -1132,6 +1206,7 @@ impl<'a> TapeCompiler<'a> {
             ret,
             ret_width: sim.ret.map(|(_, w)| w).unwrap_or(0),
             done: sim.done,
+            filter: sim.sigs.iter().position(|s| s.name == "state").unwrap_or(sim.done),
             reg_widths: sim
                 .reg_ids
                 .iter()
@@ -2357,6 +2432,100 @@ mod tests {
             let want = tape.simulate(&case.args, &keys[0], &[], &SimOptions::default()).unwrap();
             assert_eq!(got.as_ref().unwrap().ret, want.ret);
             assert_eq!(got.as_ref().unwrap().cycles, want.cycles);
+        }
+    }
+
+    /// Tape-compiles the emitted Verilog of C function `top` in `src`.
+    fn tape_of(src: &str, top: &str) -> VlogTape {
+        let m = hls_frontend::compile(src, "t").expect("compile");
+        let fsmd = hls_core::synthesize(&m, top, &hls_core::HlsOptions::default()).unwrap();
+        VlogTape::new(&hls_core::verilog::emit(&fsmd)).expect("emitted text compiles")
+    }
+
+    /// Spins unless `n == 7`, storing a multi-cycle product every
+    /// iteration: after a short pre-period every signal and memory word
+    /// repeats every four iterations.
+    const CHURN: &str = r#"
+        int buf[4];
+        int churn(int n) {
+            int x = 1;
+            int i = 0;
+            while (n != 7) {
+                buf[i] = x * 3;
+                x = (x * 5) & 15;
+                i = (i + 1) & 3;
+            }
+            return x;
+        }
+    "#;
+
+    #[test]
+    fn fast_forward_matches_the_traced_run_at_every_budget() {
+        // `run` fast-forwards a run that loops; `run_traced` simulates
+        // every cycle. Every budget up to 300 covers the pre-period and
+        // the budgets on and one past each of the first period
+        // boundaries; the far window covers them after many laps.
+        let tape = tape_of(CHURN, "churn");
+        let (mut fast, mut slow) = (tape.runner(), tape.runner());
+        let key = KeyBits::zero(0);
+        for max_cycles in (0..=300).chain(20_000..20_060) {
+            for snapshot_on_timeout in [false, true] {
+                let opts = SimOptions { max_cycles, snapshot_on_timeout };
+                for n in [0, 7] {
+                    let got = fast.run(&[n], &key, &[], &opts);
+                    let want = slow.run_traced(&[n], &key, &[], &opts, |_, _, _| {});
+                    assert_eq!(got, want, "n {n}, {opts:?}");
+                    // An error leaves no result behind; a run that
+                    // returns one must match in every register and
+                    // memory word.
+                    if got.is_ok() {
+                        assert_eq!(fast.regs(), slow.regs(), "n {n}, {opts:?}");
+                        assert_eq!(fast.mems(), slow.mems(), "n {n}, {opts:?}");
+                    }
+                }
+            }
+        }
+        // The loop is caught (a run of 2^40 cycles would not return).
+        let far = SimOptions { max_cycles: 1 << 40, snapshot_on_timeout: true };
+        assert_eq!(fast.run(&[0], &key, &[], &far).unwrap().cycles, 1 << 40);
+    }
+
+    #[test]
+    fn a_trillion_cycle_budget_lands_on_the_closed_form() {
+        let tape = tape_of(
+            "int toggle(int n) { int x = 0; while (n != 7) { x = 1 - x; } return x; }",
+            "toggle",
+        );
+        let mut runner = tape.runner();
+        let key = KeyBits::zero(0);
+        // From the traced run: the register holding `x` flips every
+        // `lap` cycles from cycle `first` on, so after cycle `t ≥ first`
+        // it holds `((t − first) / lap + 1) mod 2`.
+        let mut trace = Vec::new();
+        let opts = SimOptions { max_cycles: 400, snapshot_on_timeout: true };
+        runner.run_traced(&[0], &key, &[], &opts, |_, regs, _| trace.push(regs.to_vec())).unwrap();
+        let x = (0..trace[0].len())
+            .find(|&r| {
+                trace.iter().all(|regs| regs[r] <= 1)
+                    && trace.iter().filter(|regs| regs[r] == 1).count() > 50
+            })
+            .expect("a register toggles");
+        let flips: Vec<u64> = (1..trace.len())
+            .filter(|&t| trace[t][x] != trace[t - 1][x])
+            .map(|t| t as u64 + 1)
+            .collect();
+        let (first, lap) = (flips[0], flips[1] - flips[0]);
+        let closed = |t: u64| if t < first { 0 } else { ((t - first) / lap + 1) % 2 };
+        for (t, regs) in trace.iter().enumerate() {
+            assert_eq!(regs[x], closed(t as u64 + 1), "cycle {}", t + 1);
+        }
+        for budget in [1_000_000_000_000u64, 1_000_000_000_001] {
+            let opts = SimOptions { max_cycles: budget, snapshot_on_timeout: true };
+            let stats = runner.run(&[0], &key, &[], &opts).unwrap();
+            assert_eq!((stats.cycles, stats.timed_out), (budget, true));
+            assert_eq!(runner.regs()[x], closed(budget));
+            let opts = SimOptions { max_cycles: budget, snapshot_on_timeout: false };
+            assert_eq!(runner.run(&[0], &key, &[], &opts), Err(SimError::CycleLimit));
         }
     }
 }
