@@ -27,15 +27,20 @@
 //!   addresses are wrapped with the model's Euclidean-remainder decode;
 //! - memory init images are emitted as `initial` blocks and external
 //!   memories carry an `(* external *)` attribute.
+//!
+//! Every line is written straight into one output `String`, pre-sized
+//! from an estimate: operands, `$signed` wrappers and address decodes are
+//! small `Display` values formatted in place, and a statement takes no
+//! temporary `String` or `Vec` of its own.
 
-use crate::fsmd::{Fsmd, FuOp, KeyRange, NextState, OpAlt, Src, State};
+use crate::fsmd::{Fsmd, FuOp, NextState, OpAlt, Src, State};
 use crate::regbind::RegId;
 use hls_ir::{BinOp, CmpPred, Type, UnOp};
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// Emits the Verilog for `fsmd`.
 pub fn emit(fsmd: &Fsmd) -> String {
-    let mut v = String::new();
+    let mut v = String::with_capacity(size_estimate(fsmd));
     let w = &mut v;
     let kw = fsmd.key_width;
 
@@ -48,7 +53,9 @@ pub fn emit(fsmd: &Fsmd) -> String {
         kw
     )
     .unwrap();
-    writeln!(w, "module {} (", sanitize(&fsmd.name)).unwrap();
+    w.push_str("module ");
+    w.extend(fsmd.name.chars().map(|c| if c.is_ascii_alphanumeric() { c } else { '_' }));
+    w.push_str(" (\n");
     writeln!(w, "    input  wire clk,").unwrap();
     writeln!(w, "    input  wire rst,").unwrap();
     writeln!(w, "    input  wire start,").unwrap();
@@ -292,84 +299,138 @@ fn reg_tag_width(nregs: usize) -> u32 {
 
 fn emit_state_body(w: &mut String, fsmd: &Fsmd, st: &State, tw: u32) {
     for op in &st.ops {
-        let latency = fsmd.fus[op.fu.0 as usize].kind.latency();
+        let fu = op.fu.0 as usize;
+        let sink = match op.dst {
+            Some(d) if fsmd.fus[fu].kind.latency() > 1 => Sink::Pipe { fu, dst: d, tw },
+            Some(d) => Sink::Direct(d),
+            None => Sink::Dropped,
+        };
         match (st.variant_key, op.alts.len()) {
             (Some(kr), n) if n > 1 => {
                 // TAO DFG variants: the key bits select the alternative.
-                writeln!(w, "          case ({}) // TAO variant select", key_slice(kr)).unwrap();
+                let (hi, lo) = (kr.lo + kr.width - 1, kr.lo);
+                writeln!(w, "          case (working_key[{hi}:{lo}]) // TAO variant select")
+                    .unwrap();
                 for (vi, alt) in op.alts.iter().enumerate() {
-                    let stmts = render_alt(fsmd, op.fu.0 as usize, op.dst, op.ty, alt, latency, tw);
-                    if stmts.len() == 1 {
-                        writeln!(w, "            {}'d{}: {}", kr.width, vi, stmts[0]).unwrap();
+                    if sink.statements(alt) == 1 {
+                        write!(w, "            {}'d{}: ", kr.width, vi).unwrap();
+                        emit_alt(w, fsmd, op.ty, alt, &sink, "");
                     } else {
                         writeln!(w, "            {}'d{}: begin", kr.width, vi).unwrap();
-                        for s in &stmts {
-                            writeln!(w, "              {s}").unwrap();
-                        }
-                        writeln!(w, "            end").unwrap();
+                        emit_alt(w, fsmd, op.ty, alt, &sink, "              ");
+                        w.push_str("            end\n");
                     }
                 }
-                writeln!(w, "          endcase").unwrap();
+                w.push_str("          endcase\n");
             }
-            _ => {
-                for s in render_alt(fsmd, op.fu.0 as usize, op.dst, op.ty, &op.alts[0], latency, tw)
-                {
-                    writeln!(w, "          {s}").unwrap();
-                }
-            }
+            _ => emit_alt(w, fsmd, op.ty, &op.alts[0], &sink, "          "),
         }
     }
 }
 
 fn emit_transition(w: &mut String, st: &State) {
     match st.next {
-        NextState::Goto(t) => writeln!(w, "          state <= S{};", t.index()).unwrap(),
-        NextState::Branch { test, key_bit, then_s, else_s } => {
-            let test_expr = match key_bit {
-                None => format!("r{}[0]", test.index()),
-                // TAO Eq. 4: test ^ K_j == 1.
-                Some(kb) => format!("(r{}[0] ^ working_key[{}])", test.index(), kb),
-            };
-            writeln!(
-                w,
-                "          state <= ({} == 1'b1) ? S{} : S{};",
-                test_expr,
-                then_s.index(),
-                else_s.index()
-            )
-            .unwrap();
-        }
-        NextState::Done => {
-            writeln!(w, "          done <= 1'b1;").unwrap();
+        NextState::Goto(t) => writeln!(w, "          state <= S{};", t.index()),
+        NextState::Branch { test, key_bit: None, then_s, else_s } => writeln!(
+            w,
+            "          state <= (r{}[0] == 1'b1) ? S{} : S{};",
+            test.index(),
+            then_s.index(),
+            else_s.index()
+        ),
+        // TAO Eq. 4: test ^ K_j == 1.
+        NextState::Branch { test, key_bit: Some(kb), then_s, else_s } => writeln!(
+            w,
+            "          state <= ((r{}[0] ^ working_key[{}]) == 1'b1) ? S{} : S{};",
+            test.index(),
+            kb,
+            then_s.index(),
+            else_s.index()
+        ),
+        NextState::Done => writeln!(w, "          done <= 1'b1;"),
+    }
+    .unwrap();
+}
+
+/// An operand rendered at exactly `use_width` bits: the raw bit pattern
+/// the FSMD simulator's typed read sees (narrow sources zero-extend, wide
+/// sources truncate).
+#[derive(Clone, Copy)]
+enum Operand {
+    /// A register `r{index}` or a constant `const{index}`, declared
+    /// `width` bits wide.
+    Named { prefix: &'static str, index: usize, width: u8, use_width: u8 },
+    /// An absent port, which reads as zero.
+    Zero { use_width: u8 },
+}
+
+impl Operand {
+    fn of(fsmd: &Fsmd, s: Src, use_width: u8) -> Operand {
+        let (prefix, index, width) = match s {
+            Src::Reg(r) => ("r", r.index(), fsmd.reg_widths[r.index()]),
+            Src::Const(c) => {
+                let e = &fsmd.consts[c.0 as usize];
+                let declared = match e.key_xor {
+                    Some(_) => e.storage_width,
+                    None => e.ty.width(),
+                };
+                ("const", c.0 as usize, declared)
+            }
+        };
+        Operand::Named { prefix, index, width, use_width }
+    }
+}
+
+impl fmt::Display for Operand {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Operand::Named { prefix, index, width, use_width } => {
+                if width == use_width {
+                    f.write_str(prefix)?;
+                    index.fmt(f)
+                } else if width > use_width {
+                    write!(f, "{prefix}{index}[{}:0]", use_width - 1)
+                } else {
+                    write!(f, "{{{}'d0, {prefix}{index}}}", use_width - width)
+                }
+            }
+            Operand::Zero { use_width } => write!(f, "{use_width}'d0"),
         }
     }
 }
 
-fn key_slice(kr: KeyRange) -> String {
-    format!("working_key[{}:{}]", kr.lo + kr.width - 1, kr.lo)
+/// `$signed(x)` when the flag is set, else `x` as it is.
+struct Signed<T>(bool, T);
+
+impl<T: fmt::Display> fmt::Display for Signed<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.0 {
+            f.write_str("$signed(")?;
+            self.1.fmt(f)?;
+            f.write_str(")")
+        } else {
+            self.1.fmt(f)
+        }
+    }
 }
 
-/// Renders operand `s` at exactly `use_width` bits: the raw bit pattern the
-/// FSMD simulator's typed read sees (narrow sources zero-extend, wide
-/// sources truncate).
-fn render_src(fsmd: &Fsmd, s: Src, use_width: u8) -> String {
-    let (name, w) = match s {
-        Src::Reg(r) => (format!("r{}", r.index()), fsmd.reg_widths[r.index()]),
-        Src::Const(c) => {
-            let e = &fsmd.consts[c.0 as usize];
-            let declared = match e.key_xor {
-                Some(_) => e.storage_width,
-                None => e.ty.width(),
-            };
-            (format!("const{}", c.0), declared)
+/// The model's address decode: interpret the low 32 address bits as a
+/// signed index and wrap it into `[0, len)` (Euclidean remainder). For
+/// power-of-two lengths the unsigned remainder is identical and reads as
+/// the usual low-bits decode.
+struct WrapIndex {
+    a32: Operand,
+    len: usize,
+}
+
+impl fmt::Display for WrapIndex {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (a32, l) = (self.a32, self.len.max(1));
+        if l.is_power_of_two() {
+            write!(f, "({a32} % 32'd{l})")
+        } else {
+            write!(f, "((($signed({a32}) % 32'sd{l}) + 32'sd{l}) % 32'sd{l})")
         }
-    };
-    if w == use_width {
-        name
-    } else if w > use_width {
-        format!("{}[{}:0]", name, use_width - 1)
-    } else {
-        format!("{{{}'d0, {}}}", use_width - w, name)
     }
 }
 
@@ -382,111 +443,99 @@ enum Sink {
 }
 
 impl Sink {
-    /// The statements committing `expr` through this sink.
-    fn assign(&self, expr: String) -> Vec<String> {
-        match self {
-            Sink::Direct(d) => vec![format!("r{} <= {};", d.index(), expr)],
-            Sink::Pipe { fu, dst, tw } => vec![
-                format!("fu{fu}_d1 <= {expr};"),
-                format!("fu{fu}_t1 <= {tw}'d{}; fu{fu}_v1 <= 1'b1;", dst.index()),
-            ],
-            Sink::Dropped => vec![format!("; // dropped: {expr}")],
+    /// How many statements one alternative writes through this sink.
+    fn statements(&self, alt: &OpAlt) -> usize {
+        match (self, alt.op) {
+            (_, FuOp::Store { .. }) => 1,
+            (Sink::Pipe { .. }, _) => 2,
+            _ => 1,
         }
     }
 
-    /// The statements committing either `expr` or `fallback`, selected by
-    /// `guard` (the divide-by-zero test).
-    fn assign_guarded(&self, guard: String, fallback: String, expr: String) -> Vec<String> {
-        match self {
-            Sink::Direct(d) => {
-                vec![format!("if ({guard}) r{0} <= {fallback}; else r{0} <= {expr};", d.index())]
+    /// Writes the statements committing `expr` through this sink, each on
+    /// a line of its own after `indent`. A `guard` (the divide-by-zero
+    /// test) and its fallback commit the fallback when the guard holds.
+    fn assign(
+        &self,
+        w: &mut String,
+        indent: &str,
+        guard: Option<[fmt::Arguments<'_>; 2]>,
+        expr: fmt::Arguments<'_>,
+    ) {
+        match (self, guard) {
+            (Sink::Direct(d), None) => writeln!(w, "{indent}r{} <= {expr};", d.index()),
+            (Sink::Direct(d), Some([g, f])) => {
+                writeln!(w, "{indent}if ({g}) r{0} <= {f}; else r{0} <= {expr};", d.index())
             }
-            Sink::Pipe { fu, dst, tw } => vec![
-                format!("if ({guard}) fu{fu}_d1 <= {fallback}; else fu{fu}_d1 <= {expr};"),
-                format!("fu{fu}_t1 <= {tw}'d{}; fu{fu}_v1 <= 1'b1;", dst.index()),
-            ],
-            Sink::Dropped => vec![format!("; // dropped: {guard} ? {fallback} : {expr}")],
+            (Sink::Pipe { fu, .. }, None) => writeln!(w, "{indent}fu{fu}_d1 <= {expr};"),
+            (Sink::Pipe { fu, .. }, Some([g, f])) => {
+                writeln!(w, "{indent}if ({g}) fu{fu}_d1 <= {f}; else fu{fu}_d1 <= {expr};")
+            }
+            (Sink::Dropped, None) => writeln!(w, "{indent}; // dropped: {expr}"),
+            (Sink::Dropped, Some([g, f])) => {
+                writeln!(w, "{indent}; // dropped: {g} ? {f} : {expr}")
+            }
+        }
+        .unwrap();
+        // A pipeline issue also tags the value with its destination
+        // register and marks the first stage occupied.
+        if let Sink::Pipe { fu, dst, tw } = self {
+            writeln!(w, "{indent}fu{fu}_t1 <= {tw}'d{}; fu{fu}_v1 <= 1'b1;", dst.index()).unwrap();
         }
     }
 }
 
-fn render_alt(
-    fsmd: &Fsmd,
-    fu: usize,
-    dst: Option<RegId>,
-    ty: Type,
-    alt: &OpAlt,
-    latency: u32,
-    tw: u32,
-) -> Vec<String> {
+/// Writes the statements of one alternative, each on a line of its own
+/// after `indent`.
+fn emit_alt(w: &mut String, fsmd: &Fsmd, ty: Type, alt: &OpAlt, sink: &Sink, indent: &str) {
     let uw = ty.width();
-    let src = |s: Src| render_src(fsmd, s, uw);
-    let sink = match dst {
-        Some(d) if latency > 1 => Sink::Pipe { fu, dst: d, tw },
-        Some(d) => Sink::Direct(d),
-        None => Sink::Dropped,
-    };
-    let signed = |e: &str| {
-        if ty.is_signed() {
-            format!("$signed({e})")
-        } else {
-            e.to_string()
-        }
-    };
+    let sg = ty.is_signed();
+    let src = |s: Src| Operand::of(fsmd, s, uw);
+    // A decoy variant can place a binary opcode on a one-input micro-op
+    // (Algorithm 1 swaps operation types freely); the missing port reads
+    // as zero, matching the simulator.
+    let port_b = || alt.b.map_or(Operand::Zero { use_width: uw }, src);
     match alt.op {
         FuOp::Bin(op) => {
-            // A decoy variant can place a binary opcode on a one-input
-            // micro-op (Algorithm 1 swaps operation types freely); the
-            // missing port reads as zero, matching the simulator.
-            let a = src(alt.a);
-            let b = alt.b.map(src).unwrap_or_else(|| format!("{uw}'d0"));
+            let (a, b) = (src(alt.a), port_b());
+            let (sa, sb) = (Signed(sg, a), Signed(sg, b));
+            // The model's defined divide-by-zero results (all-ones for `/`,
+            // the dividend for `%`) — real x-propagation has no two-state
+            // rendering, so the text carries the guard.
+            let b_zero = format_args!("{b} == {uw}'d0");
+            let all_ones = format_args!("{{{uw}{{1'b1}}}}");
             match op {
-                BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::And | BinOp::Or | BinOp::Xor => {
-                    let sym = match op {
-                        BinOp::Add => "+",
-                        BinOp::Sub => "-",
-                        BinOp::Mul => "*",
-                        BinOp::And => "&",
-                        BinOp::Or => "|",
-                        _ => "^",
-                    };
-                    sink.assign(format!("{} {} {}", signed(&a), sym, signed(&b)))
+                BinOp::Add => sink.assign(w, indent, None, format_args!("{sa} + {sb}")),
+                BinOp::Sub => sink.assign(w, indent, None, format_args!("{sa} - {sb}")),
+                BinOp::Mul => sink.assign(w, indent, None, format_args!("{sa} * {sb}")),
+                BinOp::And => sink.assign(w, indent, None, format_args!("{sa} & {sb}")),
+                BinOp::Or => sink.assign(w, indent, None, format_args!("{sa} | {sb}")),
+                BinOp::Xor => sink.assign(w, indent, None, format_args!("{sa} ^ {sb}")),
+                BinOp::Div => {
+                    sink.assign(w, indent, Some([b_zero, all_ones]), format_args!("{sa} / {sb}"))
                 }
-                // The model's defined divide-by-zero results (all-ones for
-                // `/`, the dividend for `%`) — real x-propagation has no
-                // two-state rendering, so the text carries the guard.
-                BinOp::Div => sink.assign_guarded(
-                    format!("{b} == {uw}'d0"),
-                    format!("{{{uw}{{1'b1}}}}"),
-                    format!("{} / {}", signed(&a), signed(&b)),
-                ),
-                BinOp::Rem => sink.assign_guarded(
-                    format!("{b} == {uw}'d0"),
-                    a.clone(),
-                    format!("{} % {}", signed(&a), signed(&b)),
-                ),
+                BinOp::Rem => {
+                    let dividend = format_args!("{a}");
+                    sink.assign(w, indent, Some([b_zero, dividend]), format_args!("{sa} % {sb}"))
+                }
                 // Shift amounts reduce modulo the operand width (the
                 // simulator's barrel-shifter semantics).
-                BinOp::Shl => sink.assign(format!("{} << ({b} % {uw}'d{uw})", signed(&a))),
+                BinOp::Shl => {
+                    sink.assign(w, indent, None, format_args!("{sa} << ({b} % {uw}'d{uw})"))
+                }
+                BinOp::Shr if sg => {
+                    sink.assign(w, indent, None, format_args!("{sa} >>> ({b} % {uw}'d{uw})"))
+                }
                 BinOp::Shr => {
-                    if ty.is_signed() {
-                        sink.assign(format!("$signed({a}) >>> ({b} % {uw}'d{uw})"))
-                    } else {
-                        sink.assign(format!("{a} >> ({b} % {uw}'d{uw})"))
-                    }
+                    sink.assign(w, indent, None, format_args!("{sa} >> ({b} % {uw}'d{uw})"))
                 }
             }
         }
-        FuOp::Un(op) => {
-            let a = src(alt.a);
-            match op {
-                UnOp::Not => sink.assign(format!("~{a}")),
-                UnOp::Neg => sink.assign(format!("-{}", signed(&a))),
-            }
+        FuOp::Un(UnOp::Not) => sink.assign(w, indent, None, format_args!("~{}", src(alt.a))),
+        FuOp::Un(UnOp::Neg) => {
+            sink.assign(w, indent, None, format_args!("-{}", Signed(sg, src(alt.a))))
         }
         FuOp::Cmp(pred) => {
-            let a = src(alt.a);
-            let b = alt.b.map(src).unwrap_or_else(|| format!("{uw}'d0"));
             let sym = match pred {
                 CmpPred::Eq => "==",
                 CmpPred::Ne => "!=",
@@ -495,52 +544,52 @@ fn render_alt(
                 CmpPred::Gt => ">",
                 CmpPred::Ge => ">=",
             };
-            sink.assign(format!("{} {} {}", signed(&a), sym, signed(&b)))
+            let (sa, sb) = (Signed(sg, src(alt.a)), Signed(sg, port_b()));
+            sink.assign(w, indent, None, format_args!("{sa} {sym} {sb}"))
         }
-        FuOp::Pass => sink.assign(src(alt.a)),
+        FuOp::Pass => sink.assign(w, indent, None, format_args!("{}", src(alt.a))),
         FuOp::Conv { from, to } => {
-            let a = render_src(fsmd, alt.a, from.width());
-            if from.is_signed() && to.width() > from.width() {
-                // Sign extension: the assignment context widens a $signed
-                // operand with its sign bit.
-                sink.assign(format!("$signed({a})"))
-            } else {
-                sink.assign(a)
-            }
+            // Sign extension: the assignment context widens a $signed
+            // operand with its sign bit.
+            let a = Signed(
+                from.is_signed() && to.width() > from.width(),
+                Operand::of(fsmd, alt.a, from.width()),
+            );
+            sink.assign(w, indent, None, format_args!("{a}"))
         }
         FuOp::Load { mem } => {
-            let idx = wrap_index_expr(render_src(fsmd, alt.a, 32), fsmd.mems[mem.0 as usize].len);
-            sink.assign(format!("mem{}[{}]", mem.0, idx))
+            let idx =
+                WrapIndex { a32: Operand::of(fsmd, alt.a, 32), len: fsmd.mems[mem.0 as usize].len };
+            sink.assign(w, indent, None, format_args!("mem{}[{idx}]", mem.0))
         }
         FuOp::Store { mem } => {
             let b = alt.b.expect("store has data");
-            let idx = wrap_index_expr(render_src(fsmd, alt.a, 32), fsmd.mems[mem.0 as usize].len);
-            vec![format!("mem{}[{}] <= {};", mem.0, idx, render_src(fsmd, b, uw))]
+            let idx =
+                WrapIndex { a32: Operand::of(fsmd, alt.a, 32), len: fsmd.mems[mem.0 as usize].len };
+            writeln!(w, "{indent}mem{}[{idx}] <= {};", mem.0, src(b)).unwrap();
         }
     }
 }
 
-/// The model's address decode: interpret the low 32 address bits as a
-/// signed index and wrap it into `[0, len)` (Euclidean remainder). For
-/// power-of-two lengths the unsigned remainder is identical and reads as
-/// the usual low-bits decode.
-fn wrap_index_expr(a32: String, len: usize) -> String {
-    let l = len.max(1);
-    if l.is_power_of_two() {
-        format!("({a32} % 32'd{l})")
-    } else {
-        format!("((($signed({a32}) % 32'sd{l}) + 32'sd{l}) % 32'sd{l})")
-    }
-}
-
-fn sanitize(name: &str) -> String {
-    name.chars().map(|c| if c.is_ascii_alphanumeric() { c } else { '_' }).collect()
+/// A cheap estimate of the emitted text's length, so that the output
+/// buffer rarely grows: a typical line's length per declaration, state,
+/// statement and init-image entry.
+fn size_estimate(fsmd: &Fsmd) -> usize {
+    let alts: usize = fsmd.micro_ops().map(|(_, op)| op.alts.len()).sum();
+    let init: usize =
+        fsmd.mems.iter().map(|m| m.init.as_ref().map_or(0, |init| init.len().min(m.len))).sum();
+    1024 + 128 * fsmd.states.len()
+        + 40 * fsmd.reg_widths.len()
+        + 64 * fsmd.consts.len()
+        + 24 * init
+        + 60 * alts
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::flow::{synthesize, HlsOptions};
+    use crate::fsmd::KeyRange;
 
     fn demo() -> Fsmd {
         let m = hls_frontend::compile(

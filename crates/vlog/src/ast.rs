@@ -9,8 +9,35 @@
 //!
 //! Names are interned [`Sym`]s; [`Module::names`] maps them back to the
 //! source text.
+//!
+//! The tree lives in arenas owned by the [`Module`]: every expression and
+//! statement node is one entry of a `Vec`, children are [`ExprId`]s and
+//! [`StmtId`]s, and the variable-length lists (concatenation parts,
+//! `begin`/`end` bodies, `case` arms) are [`Span`]s of three list arenas.
+//! So a parsed module costs a handful of growing vectors, not one heap
+//! allocation per node, and drops in as many frees. Besides the arenas,
+//! parsing allocates only the token vector, the parser's scratch stacks,
+//! the port, declaration and item vectors, the symbol table and an
+//! error's message.
 
 use crate::lexer::{Names, Sym};
+
+/// An expression node: an index into [`Module`]'s expression arena.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ExprId(u32);
+
+/// A statement node: an index into [`Module`]'s statement arena.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StmtId(u32);
+
+/// A run of consecutive entries of one of [`Module`]'s list arenas: the
+/// parts of a concatenation ([`Module::parts`]), the statements of a
+/// block ([`Module::block`]) or the arms of a `case` ([`Module::arms`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Span {
+    start: u32,
+    end: u32,
+}
 
 /// Unary expression operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,7 +76,7 @@ pub enum BinOp {
 }
 
 /// An expression.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Expr {
     /// Numeric literal.
     Num {
@@ -67,7 +94,7 @@ pub enum Expr {
         /// Base identifier.
         base: Sym,
         /// Index expression (self-determined).
-        index: Box<Expr>,
+        index: ExprId,
     },
     /// Constant part-select `sig[hi:lo]`.
     Part {
@@ -83,84 +110,86 @@ pub enum Expr {
         /// Operator.
         op: UnOp,
         /// Operand.
-        a: Box<Expr>,
+        a: ExprId,
     },
     /// Binary operation.
     Binary {
         /// Operator.
         op: BinOp,
         /// Left operand.
-        a: Box<Expr>,
+        a: ExprId,
         /// Right operand.
-        b: Box<Expr>,
+        b: ExprId,
     },
     /// Conditional `c ? t : e`.
     Cond {
         /// Condition (self-determined).
-        c: Box<Expr>,
+        c: ExprId,
         /// Then-value.
-        t: Box<Expr>,
+        t: ExprId,
         /// Else-value.
-        e: Box<Expr>,
+        e: ExprId,
     },
     /// `$signed(e)` reinterpretation.
-    Signed(Box<Expr>),
-    /// Concatenation `{a, b, …}` (parts MSB-first).
-    Concat(Vec<Expr>),
+    Signed(ExprId),
+    /// Concatenation `{a, b, …}`: its parts, MSB-first
+    /// ([`Module::parts`]).
+    Concat(Span),
     /// Replication `{n{e}}`.
     Repeat {
         /// Replication count.
         n: u32,
         /// Replicated expression.
-        a: Box<Expr>,
+        a: ExprId,
     },
 }
 
 /// A nonblocking/blocking assignment target.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Target {
     /// Assigned identifier (register or memory).
     pub base: Sym,
     /// Memory element index, when the target is `mem[e]`.
-    pub index: Option<Expr>,
+    pub index: Option<ExprId>,
 }
 
 /// A procedural statement.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stmt {
-    /// `begin … end`.
-    Block(Vec<Stmt>),
+    /// `begin … end`: its statements ([`Module::block`]).
+    Block(Span),
     /// `if (c) s [else s]`.
     If {
         /// Condition (self-determined, true when nonzero).
-        cond: Expr,
+        cond: ExprId,
         /// Taken when true.
-        then_s: Box<Stmt>,
+        then_s: StmtId,
         /// Taken when false.
-        else_s: Option<Box<Stmt>>,
+        else_s: Option<StmtId>,
     },
     /// `case (subject) … endcase`.
     Case {
         /// Dispatch subject.
-        subject: Expr,
-        /// `(label, statement)` arms (labels are constant expressions).
-        arms: Vec<(Expr, Stmt)>,
+        subject: ExprId,
+        /// `(label, statement)` arms, labels being constant expressions
+        /// ([`Module::arms`]).
+        arms: Span,
         /// `default:` arm.
-        default: Option<Box<Stmt>>,
+        default: Option<StmtId>,
     },
     /// `target <= value;`
     NonBlocking {
         /// Assignment target.
         target: Target,
         /// Right-hand side.
-        value: Expr,
+        value: ExprId,
     },
     /// `target = value;` (initial blocks).
     Blocking {
         /// Assignment target.
         target: Target,
         /// Right-hand side.
-        value: Expr,
+        value: ExprId,
     },
     /// Null statement `;`.
     Null,
@@ -224,13 +253,96 @@ pub struct Module<'a> {
     /// Memories in declaration order.
     pub mems: Vec<Mem>,
     /// `localparam` definitions.
-    pub params: Vec<(Sym, Expr)>,
+    pub params: Vec<(Sym, ExprId)>,
     /// Continuous assigns (wire initializers are normalized into these).
-    pub assigns: Vec<(Sym, Expr)>,
+    pub assigns: Vec<(Sym, ExprId)>,
     /// `initial` blocks.
-    pub initials: Vec<Stmt>,
+    pub initials: Vec<StmtId>,
     /// `always @(posedge <clock>)` processes.
-    pub always: Vec<(Sym, Stmt)>,
+    pub always: Vec<(Sym, StmtId)>,
     /// The symbol table every [`Sym`] above indexes.
     pub names: Names<'a>,
+    /// Expression arena, indexed by [`ExprId`].
+    exprs: Vec<Expr>,
+    /// Statement arena, indexed by [`StmtId`].
+    stmts: Vec<Stmt>,
+    /// List arena of concatenation parts.
+    parts: Vec<ExprId>,
+    /// List arena of block statements.
+    blocks: Vec<StmtId>,
+    /// List arena of `case` arms.
+    arms: Vec<(ExprId, StmtId)>,
+}
+
+impl<'a> Module<'a> {
+    /// An empty module over the symbol table `names`, whose node arenas
+    /// hold `nodes` expressions (and a quarter as many statements) before
+    /// they grow.
+    pub(crate) fn new(names: Names<'a>, nodes: usize) -> Module<'a> {
+        Module {
+            names,
+            exprs: Vec::with_capacity(nodes),
+            stmts: Vec::with_capacity(nodes / 4),
+            ..Module::default()
+        }
+    }
+
+    /// The expression `id` names.
+    pub fn expr(&self, id: ExprId) -> &Expr {
+        &self.exprs[id.0 as usize]
+    }
+
+    /// The statement `id` names.
+    pub fn stmt(&self, id: StmtId) -> &Stmt {
+        &self.stmts[id.0 as usize]
+    }
+
+    /// The parts of an [`Expr::Concat`], MSB-first.
+    pub fn parts(&self, s: Span) -> &[ExprId] {
+        &self.parts[s.start as usize..s.end as usize]
+    }
+
+    /// The statements of a [`Stmt::Block`].
+    pub fn block(&self, s: Span) -> &[StmtId] {
+        &self.blocks[s.start as usize..s.end as usize]
+    }
+
+    /// The `(label, statement)` arms of a [`Stmt::Case`].
+    pub fn arms(&self, s: Span) -> &[(ExprId, StmtId)] {
+        &self.arms[s.start as usize..s.end as usize]
+    }
+
+    /// Adds an expression node.
+    pub(crate) fn add_expr(&mut self, e: Expr) -> ExprId {
+        self.exprs.push(e);
+        ExprId(self.exprs.len() as u32 - 1)
+    }
+
+    /// Adds a statement node.
+    pub(crate) fn add_stmt(&mut self, s: Stmt) -> StmtId {
+        self.stmts.push(s);
+        StmtId(self.stmts.len() as u32 - 1)
+    }
+
+    /// Moves `parts` into the concatenation-part arena.
+    pub(crate) fn add_parts(&mut self, parts: &[ExprId]) -> Span {
+        span_of(&mut self.parts, parts)
+    }
+
+    /// Moves `stmts` into the block arena.
+    pub(crate) fn add_block(&mut self, stmts: &[StmtId]) -> Span {
+        span_of(&mut self.blocks, stmts)
+    }
+
+    /// Moves `arms` into the `case`-arm arena.
+    pub(crate) fn add_arms(&mut self, arms: &[(ExprId, StmtId)]) -> Span {
+        span_of(&mut self.arms, arms)
+    }
+}
+
+/// Appends `items` to `arena` and returns where they landed.
+fn span_of<T: Copy>(arena: &mut Vec<T>, items: &[T]) -> Span {
+    let start = arena.len() as u32;
+    arena.extend_from_slice(items);
+    Span { start, end: arena.len() as u32 }
 }

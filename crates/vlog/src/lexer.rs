@@ -8,7 +8,14 @@
 //! Lexing borrows the source text and allocates nothing per token:
 //! keywords are token kinds of their own, identifiers are interned to
 //! dense [`Sym`] ids whose names are slices of the source ([`Names`]), and
-//! number literals are parsed in place. Tokens are `Copy`.
+//! number literals are parsed in place. Tokens are `Copy`. The token
+//! vector is pre-sized from the text's length, and whitespace runs and
+//! line comments are skipped in loops of their own; besides that vector,
+//! only the symbol table's growth and an error's message allocate. The
+//! interner keeps std's keyed hasher, because the text is outside input:
+//! with a word-at-a-time multiplicative hash, seeded or not, names that
+//! differ only in bits the multiply never carries into the bucket index
+//! pile into one probe sequence.
 
 use crate::parser::ParseError;
 use std::collections::HashMap;
@@ -227,11 +234,21 @@ fn is_ident_byte(c: u8) -> bool {
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] on malformed literals or unexpected characters.
+/// Returns a [`ParseError`] on malformed literals or unexpected characters,
+/// and on a text of 4 GiB or more.
 pub fn lex(src: &str) -> Result<(Vec<Spanned>, Names<'_>), ParseError> {
     let b = src.as_bytes();
+    // Lines, symbols and the parser's node ids are `u32`s, and no token
+    // or node is smaller than a byte.
+    if b.len() >= u32::MAX as usize {
+        return Err(ParseError {
+            msg: format!("text of {} bytes exceeds the 4 GiB cap", b.len()),
+            line: 1,
+        });
+    }
     let mut names = Names::new();
-    let mut out = Vec::new();
+    // The emitted texts average four to five bytes per token.
+    let mut out = Vec::with_capacity(b.len() / 4 + 1);
     let mut i = 0usize;
     let mut line = 1u32;
     while i < b.len() {
@@ -245,12 +262,13 @@ pub fn lex(src: &str) -> Result<(Vec<Spanned>, Names<'_>), ParseError> {
             }
             b' ' | b'\t' | b'\r' => {
                 i += 1;
+                while i < b.len() && matches!(b[i], b' ' | b'\t' | b'\r') {
+                    i += 1;
+                }
                 continue;
             }
             b'/' if next == Some(b'/') => {
-                while i < b.len() && b[i] != b'\n' {
-                    i += 1;
-                }
+                i += b[i..].iter().position(|&c| c == b'\n').unwrap_or(b.len() - i);
                 continue;
             }
             b'/' if next == Some(b'*') => {

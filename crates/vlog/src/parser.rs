@@ -5,9 +5,14 @@
 //! construct. Declarations, expression sizes and nesting are bounded by
 //! the caps below, so hostile text yields a [`ParseError`] instead of an
 //! overflow, a huge allocation or a stack overflow.
+//!
+//! Nodes go straight into the [`Module`]'s arenas, which are pre-sized
+//! from the token count; a list (block, `case` arms, concatenation) is
+//! gathered on a scratch stack the parser reuses, then copied into its
+//! arena in one piece, so nested lists need no vector of their own.
 
 use crate::ast::*;
-use crate::lexer::{lex, Kw, Names, Spanned, Sym, Tok};
+use crate::lexer::{lex, Kw, Spanned, Sym, Tok};
 use std::fmt;
 
 /// Widest signal, memory element or expression the front end accepts, in
@@ -49,7 +54,10 @@ impl std::error::Error for ParseError {}
 /// falls outside the supported subset or exceeds a cap.
 pub fn parse(src: &str) -> Result<Module<'_>, ParseError> {
     let (toks, names) = lex(src)?;
-    Parser { toks, pos: 0, depth: 0, names }.module()
+    // The emitted texts hold about one expression node per two tokens.
+    let m = Module::new(names, toks.len() / 2);
+    Parser { toks, pos: 0, depth: 0, m, parts: Vec::new(), stmts: Vec::new(), arms: Vec::new() }
+        .module()
 }
 
 /// Binding power (higher binds tighter) and operator of a binary-operator
@@ -84,7 +92,13 @@ struct Parser<'a> {
     pos: usize,
     /// Current nesting level (see [`MAX_DEPTH`]).
     depth: u32,
-    names: Names<'a>,
+    /// The module being built: its symbol table names the tokens' symbols,
+    /// and its arenas receive every node.
+    m: Module<'a>,
+    /// Scratch stacks of the lists being parsed (innermost on top).
+    parts: Vec<ExprId>,
+    stmts: Vec<StmtId>,
+    arms: Vec<(ExprId, StmtId)>,
 }
 
 impl<'a> Parser<'a> {
@@ -115,9 +129,9 @@ impl<'a> Parser<'a> {
     /// Renders a token for an error message.
     fn show(&self, t: Tok) -> String {
         match t {
-            Tok::Ident(s) => format!("`{}`", self.names.name(s)),
+            Tok::Ident(s) => format!("`{}`", self.m.names.name(s)),
             Tok::Kw(k) => format!("`{}`", k.as_str()),
-            Tok::System(s) => format!("`${}`", self.names.name(s)),
+            Tok::System(s) => format!("`${}`", self.m.names.name(s)),
             Tok::Number { value, .. } => format!("number {value}"),
             other => format!("{other:?}"),
         }
@@ -176,8 +190,7 @@ impl<'a> Parser<'a> {
 
     fn module(mut self) -> Result<Module<'a>, ParseError> {
         self.expect_kw(Kw::Module)?;
-        let name = self.ident()?;
-        let mut m = Module { name, ..Module::default() };
+        self.m.name = self.ident()?;
         self.expect(Tok::LParen)?;
         while self.peek() != Tok::RParen {
             let dir = if self.at_kw(Kw::Input) {
@@ -200,7 +213,7 @@ impl<'a> Parser<'a> {
             };
             let width = self.opt_range()?;
             let pname = self.ident()?;
-            m.ports.push(Port { name: pname, dir, width, is_reg });
+            self.m.ports.push(Port { name: pname, dir, width, is_reg });
             if self.peek() == Tok::Comma {
                 self.next();
             }
@@ -212,11 +225,10 @@ impl<'a> Parser<'a> {
             if self.peek() == Tok::Eof {
                 return self.err("unexpected end of input inside module");
             }
-            self.item(&mut m)?;
+            self.item()?;
         }
         self.next(); // endmodule
-        m.names = self.names;
-        Ok(m)
+        Ok(self.m)
     }
 
     /// Optional `[msb:lsb]` range; returns the width (`msb - lsb + 1`).
@@ -238,14 +250,14 @@ impl<'a> Parser<'a> {
         Ok(msb as u32 + 1)
     }
 
-    fn item(&mut self, m: &mut Module<'a>) -> Result<(), ParseError> {
+    fn item(&mut self) -> Result<(), ParseError> {
         // `(* attr *)` prefix (only on memory declarations in our subset).
         let mut external = false;
         if self.peek() == Tok::LParen && self.peek2() == Tok::Star {
             self.next();
             self.next();
             let attr = self.ident()?;
-            if self.names.name(attr) == "external" {
+            if self.m.names.name(attr) == "external" {
                 external = true;
             }
             self.expect(Tok::Star)?;
@@ -258,7 +270,7 @@ impl<'a> Parser<'a> {
             self.expect(Tok::Assign)?;
             let value = self.expr()?;
             self.expect(Tok::Semi)?;
-            m.params.push((name, value));
+            self.m.params.push((name, value));
             return Ok(());
         }
         if self.at_kw(Kw::Assign) {
@@ -267,13 +279,13 @@ impl<'a> Parser<'a> {
             self.expect(Tok::Assign)?;
             let value = self.expr()?;
             self.expect(Tok::Semi)?;
-            m.assigns.push((name, value));
+            self.m.assigns.push((name, value));
             return Ok(());
         }
         if self.at_kw(Kw::Initial) {
             self.next();
             let body = self.stmt()?;
-            m.initials.push(body);
+            self.m.initials.push(body);
             return Ok(());
         }
         if self.at_kw(Kw::Always) {
@@ -284,7 +296,7 @@ impl<'a> Parser<'a> {
             let clock = self.ident()?;
             self.expect(Tok::RParen)?;
             let body = self.stmt()?;
-            m.always.push((clock, body));
+            self.m.always.push((clock, body));
             return Ok(());
         }
         if self.at_kw(Kw::Reg) || self.at_kw(Kw::Wire) {
@@ -314,7 +326,7 @@ impl<'a> Parser<'a> {
                     // following memory in the same declaration run must
                     // not inherit it.
                     let ext = std::mem::take(&mut external);
-                    m.mems.push(Mem {
+                    self.m.mems.push(Mem {
                         name,
                         elem_width: width,
                         len: hi as usize + 1,
@@ -325,11 +337,11 @@ impl<'a> Parser<'a> {
                     self.next();
                     let value = self.expr()?;
                     self.expect(Tok::Semi)?;
-                    m.nets.push(Net { name, width, is_reg });
-                    m.assigns.push((name, value));
+                    self.m.nets.push(Net { name, width, is_reg });
+                    self.m.assigns.push((name, value));
                 } else {
                     self.expect(Tok::Semi)?;
-                    m.nets.push(Net { name, width, is_reg });
+                    self.m.nets.push(Net { name, width, is_reg });
                 }
                 // `reg [63:0] a; reg b;` on one line arrive as separate
                 // items; continue only when the next token starts the same
@@ -345,12 +357,12 @@ impl<'a> Parser<'a> {
 
     // ------------------------------------------------------- statements
 
-    fn stmt(&mut self) -> Result<Stmt, ParseError> {
+    fn stmt(&mut self) -> Result<StmtId, ParseError> {
         let depth = self.depth;
         self.descend()?;
         let s = self.stmt_inner()?;
         self.depth = depth;
-        Ok(s)
+        Ok(self.m.add_stmt(s))
     }
 
     fn stmt_inner(&mut self) -> Result<Stmt, ParseError> {
@@ -360,14 +372,17 @@ impl<'a> Parser<'a> {
         }
         if self.at_kw(Kw::Begin) {
             self.next();
-            let mut body = Vec::new();
+            let base = self.stmts.len();
             while !self.at_kw(Kw::End) {
                 if self.peek() == Tok::Eof {
                     return self.err("unexpected end of input inside begin/end");
                 }
-                body.push(self.stmt()?);
+                let s = self.stmt()?;
+                self.stmts.push(s);
             }
             self.next();
+            let body = self.m.add_block(&self.stmts[base..]);
+            self.stmts.truncate(base);
             return Ok(Stmt::Block(body));
         }
         if self.at_kw(Kw::If) {
@@ -375,10 +390,10 @@ impl<'a> Parser<'a> {
             self.expect(Tok::LParen)?;
             let cond = self.expr()?;
             self.expect(Tok::RParen)?;
-            let then_s = Box::new(self.stmt()?);
+            let then_s = self.stmt()?;
             let else_s = if self.at_kw(Kw::Else) {
                 self.next();
-                Some(Box::new(self.stmt()?))
+                Some(self.stmt()?)
             } else {
                 None
             };
@@ -389,7 +404,7 @@ impl<'a> Parser<'a> {
             self.expect(Tok::LParen)?;
             let subject = self.expr()?;
             self.expect(Tok::RParen)?;
-            let mut arms = Vec::new();
+            let base = self.arms.len();
             let mut default = None;
             while !self.at_kw(Kw::Endcase) {
                 if self.peek() == Tok::Eof {
@@ -398,15 +413,17 @@ impl<'a> Parser<'a> {
                 if self.at_kw(Kw::Default) {
                     self.next();
                     self.expect(Tok::Colon)?;
-                    default = Some(Box::new(self.stmt()?));
+                    default = Some(self.stmt()?);
                 } else {
                     let label = self.expr()?;
                     self.expect(Tok::Colon)?;
                     let body = self.stmt()?;
-                    arms.push((label, body));
+                    self.arms.push((label, body));
                 }
             }
             self.next();
+            let arms = self.m.add_arms(&self.arms[base..]);
+            self.arms.truncate(base);
             return Ok(Stmt::Case { subject, arms, default });
         }
         // Assignment: `target <= e;` or `target = e;`
@@ -437,19 +454,17 @@ impl<'a> Parser<'a> {
 
     // ------------------------------------------------------ expressions
 
-    fn expr(&mut self) -> Result<Expr, ParseError> {
+    fn expr(&mut self) -> Result<ExprId, ParseError> {
         let depth = self.depth;
         self.descend()?;
-        let c = self.binary(1)?;
-        let e = if self.peek() == Tok::Question {
+        let mut e = self.binary(1)?;
+        if self.peek() == Tok::Question {
             self.next();
             let t = self.expr()?;
             self.expect(Tok::Colon)?;
-            let e = self.expr()?;
-            Expr::Cond { c: Box::new(c), t: Box::new(t), e: Box::new(e) }
-        } else {
-            c
-        };
+            let f = self.expr()?;
+            e = self.m.add_expr(Expr::Cond { c: e, t, e: f });
+        }
         self.depth = depth;
         Ok(e)
     }
@@ -457,20 +472,20 @@ impl<'a> Parser<'a> {
     /// Precedence climbing: a left-deep chain of the operators that bind
     /// at least as tightly as `min_bp`. Each chained operator is one
     /// nesting level, so long chains are bounded like deep ones.
-    fn binary(&mut self, min_bp: u8) -> Result<Expr, ParseError> {
+    fn binary(&mut self, min_bp: u8) -> Result<ExprId, ParseError> {
         let depth = self.depth;
         let mut a = self.unary()?;
         while let Some((bp, op)) = binop(self.peek()).filter(|&(bp, _)| bp >= min_bp) {
             self.descend()?;
             self.next();
             let b = self.binary(bp + 1)?;
-            a = Expr::Binary { op, a: Box::new(a), b: Box::new(b) };
+            a = self.m.add_expr(Expr::Binary { op, a, b });
         }
         self.depth = depth;
         Ok(a)
     }
 
-    fn unary(&mut self) -> Result<Expr, ParseError> {
+    fn unary(&mut self) -> Result<ExprId, ParseError> {
         let op = match self.peek() {
             Tok::Tilde => UnOp::Not,
             Tok::Minus => UnOp::Neg,
@@ -482,7 +497,7 @@ impl<'a> Parser<'a> {
         self.next();
         let a = self.unary()?;
         self.depth = depth;
-        Ok(Expr::Unary { op, a: Box::new(a) })
+        Ok(self.m.add_expr(Expr::Unary { op, a }))
     }
 
     /// A constant operand that must fit `u32` (part-select bounds).
@@ -491,27 +506,27 @@ impl<'a> Parser<'a> {
             .or_else(|_| self.err(format!("part-select bound {value} out of range")))
     }
 
-    fn primary(&mut self) -> Result<Expr, ParseError> {
-        match self.next() {
-            Tok::Number { size, signed, value, .. } => Ok(Expr::Num { size, signed, value }),
-            Tok::Ident(base) => self.ident_ref(base),
-            Tok::Kw(k) => self.ident_ref(k.sym()),
-            Tok::System(s) if self.names.name(s) == "signed" => {
+    fn primary(&mut self) -> Result<ExprId, ParseError> {
+        let e = match self.next() {
+            Tok::Number { size, signed, value, .. } => Expr::Num { size, signed, value },
+            Tok::Ident(base) => return self.ident_ref(base),
+            Tok::Kw(k) => return self.ident_ref(k.sym()),
+            Tok::System(s) if self.m.names.name(s) == "signed" => {
                 self.expect(Tok::LParen)?;
                 let e = self.expr()?;
                 self.expect(Tok::RParen)?;
-                Ok(Expr::Signed(Box::new(e)))
+                Expr::Signed(e)
             }
             Tok::LParen => {
                 let e = self.expr()?;
                 self.expect(Tok::RParen)?;
-                Ok(e)
+                return Ok(e);
             }
             Tok::LBrace => {
                 let first = self.expr()?;
                 if self.peek() == Tok::LBrace {
                     // `{n{e}}` replication.
-                    let n = match first {
+                    let n = match *self.m.expr(first) {
                         Expr::Num { value, .. } if value <= MAX_REPEAT => value as u32,
                         Expr::Num { value, .. } => {
                             return self.err(format!(
@@ -524,25 +539,33 @@ impl<'a> Parser<'a> {
                     let a = self.expr()?;
                     self.expect(Tok::RBrace)?;
                     self.expect(Tok::RBrace)?;
-                    return Ok(Expr::Repeat { n, a: Box::new(a) });
+                    Expr::Repeat { n, a }
+                } else {
+                    let base = self.parts.len();
+                    self.parts.push(first);
+                    while self.peek() == Tok::Comma {
+                        self.next();
+                        let part = self.expr()?;
+                        self.parts.push(part);
+                    }
+                    self.expect(Tok::RBrace)?;
+                    let parts = self.m.add_parts(&self.parts[base..]);
+                    self.parts.truncate(base);
+                    Expr::Concat(parts)
                 }
-                let mut parts = vec![first];
-                while self.peek() == Tok::Comma {
-                    self.next();
-                    parts.push(self.expr()?);
-                }
-                self.expect(Tok::RBrace)?;
-                Ok(Expr::Concat(parts))
             }
-            other => self.err(format!("unexpected token {} in expression", self.show(other))),
-        }
+            other => {
+                return self.err(format!("unexpected token {} in expression", self.show(other)))
+            }
+        };
+        Ok(self.m.add_expr(e))
     }
 
     /// A name in an expression, with an optional bit-, element- or
     /// part-select.
-    fn ident_ref(&mut self, base: Sym) -> Result<Expr, ParseError> {
+    fn ident_ref(&mut self, base: Sym) -> Result<ExprId, ParseError> {
         if self.peek() != Tok::LBracket {
-            return Ok(Expr::Ident(base));
+            return Ok(self.m.add_expr(Expr::Ident(base)));
         }
         self.next();
         let first = self.expr()?;
@@ -551,14 +574,14 @@ impl<'a> Parser<'a> {
             let lo = self.const_u64()?;
             let lo = self.bound(lo)?;
             self.expect(Tok::RBracket)?;
-            let hi = match first {
+            let hi = match *self.m.expr(first) {
                 Expr::Num { value, .. } => self.bound(value)?,
                 _ => return self.err("part-select bounds must be constants"),
             };
-            return Ok(Expr::Part { base, hi, lo });
+            return Ok(self.m.add_expr(Expr::Part { base, hi, lo }));
         }
         self.expect(Tok::RBracket)?;
-        Ok(Expr::Select { base, index: Box::new(first) })
+        Ok(self.m.add_expr(Expr::Select { base, index: first }))
     }
 }
 
@@ -634,8 +657,8 @@ mod tests {
              end endmodule",
         )
         .unwrap();
-        match &m.always[0].1 {
-            Stmt::Block(stmts) => assert_eq!(stmts.len(), 4),
+        match m.stmt(m.always[0].1) {
+            &Stmt::Block(stmts) => assert_eq!(m.block(stmts).len(), 4),
             other => panic!("expected block, got {other:?}"),
         }
     }

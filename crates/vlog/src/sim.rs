@@ -23,8 +23,8 @@
 //! bit, cycle for cycle, including `CycleLimit` behaviour — with the FSMD
 //! simulator it must agree with.
 
-use crate::ast::{self, Dir, Expr, Module, Stmt};
-use crate::lexer::{Names, Sym};
+use crate::ast::{self, Dir, Expr, ExprId, Module, Stmt, StmtId};
+use crate::lexer::Sym;
 use crate::parser::{parse, ParseError, MAX_MEM_WORDS, MAX_WIDTH};
 use hls_core::KeyBits;
 use sim_core::{OutputImage, SimError, SimOptions, SimResult, TestCase};
@@ -810,7 +810,8 @@ struct Binding {
 }
 
 struct Compiler<'m, 'a> {
-    names: &'m Names<'a>,
+    /// The parsed module: its symbol table and node arenas.
+    m: &'m Module<'a>,
     /// Bindings, indexed by symbol.
     binds: Vec<Binding>,
     sigs: Vec<Sig>,
@@ -821,7 +822,7 @@ struct Compiler<'m, 'a> {
 impl<'m, 'a> Compiler<'m, 'a> {
     fn compile(module: &'m Module<'a>) -> Result<VlogSim, VlogError> {
         let mut c = Compiler {
-            names: &module.names,
+            m: module,
             binds: vec![Binding::default(); module.names.len()],
             sigs: Vec::new(),
             wires: Vec::new(),
@@ -859,10 +860,10 @@ impl<'m, 'a> Compiler<'m, 'a> {
                 written: false,
             });
         }
-        for (name, e) in &module.params {
+        for &(name, e) in &module.params {
             let ce = c.cexpr(e)?;
             let Some(v) = const_value(&ce) else {
-                return err(format!("localparam `{}` is not a constant", c.name(*name)));
+                return err(format!("localparam `{}` is not a constant", c.name(name)));
             };
             let w = match &ce {
                 CExpr::Const { width, unsz: false, .. } => *width,
@@ -873,9 +874,9 @@ impl<'m, 'a> Compiler<'m, 'a> {
         // Parameters may be referenced by earlier-compiled expressions only
         // through statements/assigns compiled after this point, which is
         // the order `emit` produces (localparams precede uses).
-        for (name, e) in &module.assigns {
+        for &(name, e) in &module.assigns {
             let Some(id) = c.binds[name.index()].sig else {
-                return err(format!("assign to undeclared net `{}`", c.name(*name)));
+                return err(format!("assign to undeclared net `{}`", c.name(name)));
             };
             let ce = c.cexpr(e)?;
             let widx = c.wires.len();
@@ -885,7 +886,7 @@ impl<'m, 'a> Compiler<'m, 'a> {
 
         // Initial blocks: constant memory image loads.
         let mut init = Vec::new();
-        for s in &module.initials {
+        for &s in &module.initials {
             c.flatten_initial(s, &mut init)?;
         }
 
@@ -895,8 +896,8 @@ impl<'m, 'a> Compiler<'m, 'a> {
                 module.always.len()
             ));
         }
-        let (clock, body) = &module.always[0];
-        let clock = c.name(*clock);
+        let (clock, body) = module.always[0];
+        let clock = c.name(clock);
         if clock != "clk" {
             return err(format!("always block must be clocked by `clk`, found `{clock}`"));
         }
@@ -907,7 +908,7 @@ impl<'m, 'a> Compiler<'m, 'a> {
         }
 
         // Port roles.
-        let get = |name: &str| c.names.get(name).and_then(|s| c.binds[s.index()].sig);
+        let get = |name: &str| c.m.names.get(name).and_then(|s| c.binds[s.index()].sig);
         let (Some(rst), Some(start), Some(done)) = (get("rst"), get("start"), get("done")) else {
             return err("missing rst/start/done handshake ports");
         };
@@ -958,7 +959,7 @@ impl<'m, 'a> Compiler<'m, 'a> {
     }
 
     fn name(&self, s: Sym) -> &'a str {
-        self.names.name(s)
+        self.m.names.name(s)
     }
 
     fn add_sig(&mut self, sym: Sym, width: u32, kind: SigKind) -> Result<usize, VlogError> {
@@ -976,12 +977,12 @@ impl<'m, 'a> Compiler<'m, 'a> {
 
     fn flatten_initial(
         &self,
-        s: &Stmt,
+        s: StmtId,
         out: &mut Vec<(usize, usize, u64)>,
     ) -> Result<(), VlogError> {
-        match s {
+        match *self.m.stmt(s) {
             Stmt::Block(body) => {
-                for s in body {
+                for &s in self.m.block(body) {
                     self.flatten_initial(s, out)?;
                 }
                 Ok(())
@@ -990,14 +991,15 @@ impl<'m, 'a> Compiler<'m, 'a> {
                 let Some(m) = self.binds[target.base.index()].mem else {
                     return err("initial blocks may only load memories");
                 };
-                let Some(idx_e) = &target.index else {
+                let Some(idx_e) = target.index else {
                     return err("initial memory load needs an index");
                 };
-                let (Expr::Num { value: idx, .. }, Expr::Num { value: v, .. }) = (idx_e, value)
+                let (&Expr::Num { value: idx, .. }, &Expr::Num { value: v, .. }) =
+                    (self.m.expr(idx_e), self.m.expr(value))
                 else {
                     return err("initial memory loads must be constant");
                 };
-                let idx = *idx as usize;
+                let idx = idx as usize;
                 if idx < self.mems[m].len {
                     out.push((m, idx, v & mask(self.mems[m].elem_width)));
                 }
@@ -1008,11 +1010,15 @@ impl<'m, 'a> Compiler<'m, 'a> {
         }
     }
 
-    fn cstmt(&self, s: &Stmt, written: &mut Vec<bool>) -> Result<CStmt, VlogError> {
-        Ok(match s {
-            Stmt::Block(body) => {
-                CStmt::Block(body.iter().map(|s| self.cstmt(s, written)).collect::<Result<_, _>>()?)
-            }
+    fn cstmt(&self, s: StmtId, written: &mut Vec<bool>) -> Result<CStmt, VlogError> {
+        Ok(match *self.m.stmt(s) {
+            Stmt::Block(body) => CStmt::Block(
+                self.m
+                    .block(body)
+                    .iter()
+                    .map(|&s| self.cstmt(s, written))
+                    .collect::<Result<_, _>>()?,
+            ),
             Stmt::If { cond, then_s, else_s } => CStmt::If {
                 cond: self.cexpr(cond)?,
                 then_s: Box::new(self.cstmt(then_s, written)?),
@@ -1023,9 +1029,10 @@ impl<'m, 'a> Compiler<'m, 'a> {
             },
             Stmt::Case { subject, arms, default } => {
                 let subject = self.cexpr(subject)?;
+                let arms = self.m.arms(arms);
                 let mut carms = Vec::with_capacity(arms.len() + 1);
                 let mut map = BTreeMap::new();
-                for (label, body) in arms {
+                for &(label, body) in arms {
                     let le = self.cexpr(label)?;
                     let Some(v) = const_value(&le) else {
                         return err("case labels must be constant");
@@ -1046,7 +1053,7 @@ impl<'m, 'a> Compiler<'m, 'a> {
                 let value = self.cexpr(value)?;
                 let (base, bind) = (self.name(target.base), self.binds[target.base.index()]);
                 if let Some(m) = bind.mem {
-                    let Some(idx) = &target.index else {
+                    let Some(idx) = target.index else {
                         return err(format!("memory `{base}` assigned without index"));
                     };
                     written[m] = true;
@@ -1070,15 +1077,12 @@ impl<'m, 'a> Compiler<'m, 'a> {
         })
     }
 
-    fn cexpr(&self, e: &Expr) -> Result<CExpr, VlogError> {
+    fn cexpr(&self, e: ExprId) -> Result<CExpr, VlogError> {
         let undeclared = |name: Sym| err(format!("undeclared identifier `{}`", self.name(name)));
-        Ok(match e {
-            Expr::Num { size, signed, value } => CExpr::Const {
-                value: *value,
-                width: size.unwrap_or(32),
-                signed: *signed,
-                unsz: size.is_none(),
-            },
+        Ok(match *self.m.expr(e) {
+            Expr::Num { size, signed, value } => {
+                CExpr::Const { value, width: size.unwrap_or(32), signed, unsz: size.is_none() }
+            }
             Expr::Ident(name) => {
                 let bind = self.binds[name.index()];
                 if let Some((v, w)) = bind.param {
@@ -1089,12 +1093,12 @@ impl<'m, 'a> Compiler<'m, 'a> {
                         return err(format!(
                             "whole read of the {width}-bit `{}` unsupported (at most 64 bits; \
                              use a part-select)",
-                            self.name(*name)
+                            self.name(name)
                         ));
                     }
                     CExpr::Sig { id, width }
                 } else {
-                    return undeclared(*name);
+                    return undeclared(name);
                 }
             }
             Expr::Select { base, index } => {
@@ -1105,21 +1109,21 @@ impl<'m, 'a> Compiler<'m, 'a> {
                 } else if let Some(id) = bind.sig {
                     CExpr::SelBit { id, index }
                 } else {
-                    return undeclared(*base);
+                    return undeclared(base);
                 }
             }
             Expr::Part { base, hi, lo } => {
                 let Some(id) = self.binds[base.index()].sig else {
-                    return undeclared(*base);
+                    return undeclared(base);
                 };
                 if hi < lo || hi - lo >= 64 {
-                    return err(format!("bad part-select [{hi}:{lo}] on `{}`", self.name(*base)));
+                    return err(format!("bad part-select [{hi}:{lo}] on `{}`", self.name(base)));
                 }
-                CExpr::PartSig { id, hi: *hi, lo: *lo }
+                CExpr::PartSig { id, hi, lo }
             }
-            Expr::Unary { op, a } => CExpr::Unary { op: *op, a: Box::new(self.cexpr(a)?) },
+            Expr::Unary { op, a } => CExpr::Unary { op, a: Box::new(self.cexpr(a)?) },
             Expr::Binary { op, a, b } => {
-                CExpr::Binary { op: *op, a: Box::new(self.cexpr(a)?), b: Box::new(self.cexpr(b)?) }
+                CExpr::Binary { op, a: Box::new(self.cexpr(a)?), b: Box::new(self.cexpr(b)?) }
             }
             Expr::Cond { c, t, e } => CExpr::Cond {
                 c: Box::new(self.cexpr(c)?),
@@ -1128,15 +1132,20 @@ impl<'m, 'a> Compiler<'m, 'a> {
             },
             Expr::Signed(a) => CExpr::Signed(Box::new(self.cexpr(a)?)),
             Expr::Concat(parts) => {
-                let parts = parts.iter().map(|p| self.cexpr(p)).collect::<Result<Vec<_>, _>>()?;
+                let parts = self
+                    .m
+                    .parts(parts)
+                    .iter()
+                    .map(|&p| self.cexpr(p))
+                    .collect::<Result<Vec<_>, _>>()?;
                 let width: u64 = parts.iter().map(|p| u64::from(p.self_width())).sum();
                 capped_width(width, "concatenation")?;
                 CExpr::Concat(parts)
             }
             Expr::Repeat { n, a } => {
                 let a = Box::new(self.cexpr(a)?);
-                capped_width(u64::from(*n) * u64::from(a.self_width()), "replication")?;
-                CExpr::Repeat { n: *n, a }
+                capped_width(u64::from(n) * u64::from(a.self_width()), "replication")?;
+                CExpr::Repeat { n, a }
             }
         })
     }

@@ -135,6 +135,17 @@ proptest! {
             wrong.set_bit(bit, !wrong.bit(bit));
             let _ = backends.run_all(&args, &wrong, &tight, &prog.source);
             let _ = backends.run_all(&args, &wrong, &snap, &prog.source);
+
+            // Wrong key drawn as `tao::standard_trials` draws one: a random
+            // locking key through the design's key management. Such keys
+            // leave most runs looping, so the tapes skip their laps while
+            // the tree interpreters run every cycle; the tapes' snapshots
+            // at 63, 127, 255, … catch a loop well within this budget.
+            let random = design.working_key(&locking_key(seed ^ (0x5eed << i)));
+            for snapshot_on_timeout in [false, true] {
+                let short = SimOptions { max_cycles: 4096, snapshot_on_timeout };
+                let _ = backends.run_all(&args, &random, &short, &prog.source);
+            }
         }
     }
 
