@@ -11,8 +11,9 @@
 //!   bit-identical to their full-run counterparts and whose Pareto set
 //!   is exactly the front over the completed subset;
 //! - a SAT attack stops within its step budget (plus at most one
-//!   propagation round) and encodes no frame past an expired deadline,
-//!   and any key it returns reproduces every constraint it returns.
+//!   propagation round), encodes no frame past an expired deadline,
+//!   reports a cancel raised inside a solve as `Cancelled`, and any key
+//!   it returns reproduces every constraint it returns.
 
 // `run_golden` is for the sibling suites.
 #[allow(dead_code)]
@@ -318,4 +319,22 @@ fn attack_budgets_bound_the_effort_and_keep_keys_consistent() {
     assert_eq!(out.status, SatAttackStatus::Exhausted(ExhaustCause::Deadline));
     assert_eq!(out.unroll_final, 0, "an expired deadline encodes no frame");
     assert!(out.key.is_some(), "with no constraint every key is consistent");
+    // A cancel raised inside a solve, at the solver's `sat.propagate`
+    // check ordinal: ordinal 0 lands in the first miter solve, before
+    // any DIP; ordinal 1,600 (about 410k propagations) lands after both
+    // attacks have labelled some.
+    for (coord, labelled) in [(0u64, false), (1_600, true)] {
+        for kernel @ (_, top, _) in ATTACK_KERNELS {
+            let budget = Budget::unlimited()
+                .with_faults(FaultPlan::new().cancel_at(sites::SAT_PROPAGATE, coord));
+            let out = budgeted_attack(kernel, budget.clone(), None);
+            assert_eq!(
+                out.status,
+                SatAttackStatus::Exhausted(ExhaustCause::Cancelled),
+                "{top}: cancel at check {coord}"
+            );
+            assert_eq!(budget.faults_fired(), vec![(sites::SAT_PROPAGATE.to_string(), coord)]);
+            assert_eq!(out.dips > 0, labelled, "{top}: {} DIPs before check {coord}", out.dips);
+        }
+    }
 }
