@@ -20,7 +20,7 @@
 use crate::bitvec::Bv;
 use crate::encode::{EncInputs, Encoder, KeyLits, UnrollState, Unrolling};
 use hls_core::KeyBits;
-use sat::{Gates, Lit, SolveOutcome, SolverConfig};
+use sat::{Gates, Lit, SolveOutcome};
 use sim_core::ctrl::{Budget, CancelKind};
 use sim_core::{faultpoint, SimError, SimOptions};
 use std::time::{Duration, Instant};
@@ -89,8 +89,7 @@ pub struct SatAttackOptions {
     /// Live progress feed (disabled by default). Enabled, the attack
     /// announces `max_dips` as its total (when bounded — an unbounded
     /// DIP loop's length is unknowable up front) under a `"sat-attack"`
-    /// phase and ticks once per distinguishing input, at any racer or
-    /// worker count.
+    /// phase and ticks once per distinguishing input.
     pub progress: obs::ProgressTracker,
 }
 
@@ -243,7 +242,7 @@ pub fn sat_attack(
     let t0 = Instant::now();
     let obs = opts.obs.clone();
     let mut attack_span = obs.span("attack.sat");
-    let mut eng = AttackEngine::new(sim, opts, None);
+    let mut eng = AttackEngine::new(sim, opts);
     let dip_counter = obs.counter("attack.dips");
     let progress = opts.progress.clone();
     if progress.enabled() {
@@ -269,9 +268,6 @@ pub fn sat_attack(
                 constraints.push(IoConstraint { query, response: resp });
             }
             Step::Exhausted(cause) => break SatAttackStatus::Exhausted(cause),
-            // Without a portfolio round the solver's ctrl *is* the
-            // attack budget, so a cancellation here is the budget's.
-            Step::RoundCancelled => break SatAttackStatus::Exhausted(ExhaustCause::Cancelled),
         }
     };
     let (status, key) = eng.finish_model(status, &constraints);
@@ -293,7 +289,7 @@ struct ConsEntry {
 }
 
 /// What one engine step decided.
-pub(crate) enum Step {
+enum Step {
     /// The key space provably collapsed at the full bound (or the
     /// boundary probe showed the shallow proof already covers it).
     Collapsed,
@@ -305,16 +301,12 @@ pub(crate) enum Step {
     Dip(AttackQuery),
     /// A budget ran out or the attack's own `Budget` fired.
     Exhausted(ExhaustCause),
-    /// The solver's ctrl was cancelled but the attack budget is intact —
-    /// a portfolio round lost the race, not a terminal state.
-    RoundCancelled,
 }
 
-/// The incremental DIP-loop state machine: one CNF, one miter at the
-/// current depth, every accumulated constraint kept growable. Drives
-/// both [`sat_attack`] (single engine) and the portfolio (one engine
-/// per racer, coordinated per step).
-pub(crate) struct AttackEngine<'a> {
+/// The incremental DIP-loop state machine behind [`sat_attack`]: one
+/// CNF, one miter at the current depth, every accumulated constraint
+/// kept growable.
+struct AttackEngine<'a> {
     sim: &'a VlogSim,
     enc: Encoder<'a>,
     g: Gates,
@@ -342,17 +334,10 @@ impl<'a> AttackEngine<'a> {
     /// # Panics
     ///
     /// Panics if the design has no key port.
-    pub(crate) fn new(
-        sim: &'a VlogSim,
-        opts: &SatAttackOptions,
-        config: Option<SolverConfig>,
-    ) -> AttackEngine<'a> {
+    fn new(sim: &'a VlogSim, opts: &SatAttackOptions) -> AttackEngine<'a> {
         assert!(sim.key_width() > 0, "design has no working key to recover");
         let enc = Encoder::new(sim);
         let mut g = Gates::new();
-        if let Some(cfg) = config {
-            g.solver().set_config(cfg);
-        }
         g.solver().set_obs(opts.obs.clone());
         // The solver observes the same cooperative budget at its own
         // check cadence, so a cancel or deadline lands mid-solve, not
@@ -403,29 +388,18 @@ impl<'a> AttackEngine<'a> {
     }
 
     /// Current unroll depth.
-    pub(crate) fn depth(&self) -> u32 {
+    fn depth(&self) -> u32 {
         self.ua.cycles()
     }
 
     /// DIPs applied so far.
-    pub(crate) fn dips(&self) -> u64 {
+    fn dips(&self) -> u64 {
         self.dips
     }
 
     /// Cumulative solver statistics.
-    pub(crate) fn solver_stats(&self) -> sat::SolverStats {
+    fn solver_stats(&self) -> sat::SolverStats {
         self.g.solver_ref().stats()
-    }
-
-    /// Swaps the solver's cooperative-cancellation handle (portfolio
-    /// rounds hand each racer a fresh child budget per round).
-    pub(crate) fn set_round_ctrl(&mut self, b: Budget) {
-        self.g.solver().set_ctrl(b);
-    }
-
-    /// The racer's solver diversification config.
-    pub(crate) fn solver_config(&self) -> SolverConfig {
-        self.g.solver_ref().config()
     }
 
     /// Builds (or rebuilds, after growth) the miter difference clause at
@@ -460,7 +434,7 @@ impl<'a> AttackEngine<'a> {
 
     /// One decision of the DIP loop: solve the miter at the current
     /// depth and classify the result.
-    pub(crate) fn step(&mut self) -> Step {
+    fn step(&mut self) -> Step {
         if let Some(kind) = self.opts.budget.exceeded() {
             return Step::Exhausted(cancel_cause(kind));
         }
@@ -526,28 +500,25 @@ impl<'a> AttackEngine<'a> {
                     SolveOutcome::Sat => Step::NeedGrow,
                     SolveOutcome::Unsat => Step::Collapsed,
                     SolveOutcome::Budget => Step::Exhausted(self.budget_cause()),
-                    SolveOutcome::Cancelled => self.cancelled_step(),
+                    SolveOutcome::Cancelled => Step::Exhausted(self.cancelled_cause()),
                 }
             }
             SolveOutcome::Budget => Step::Exhausted(self.budget_cause()),
-            SolveOutcome::Cancelled => self.cancelled_step(),
+            SolveOutcome::Cancelled => Step::Exhausted(self.cancelled_cause()),
         }
     }
 
-    /// Distinguishes "the attack budget fired" from "a portfolio round
-    /// was cancelled under this racer".
-    fn cancelled_step(&self) -> Step {
-        match self.opts.budget.exceeded() {
-            Some(kind) => Step::Exhausted(cancel_cause(kind)),
-            None => Step::RoundCancelled,
-        }
+    /// Attributes a solver `Cancelled` outcome: the solver's ctrl is the
+    /// attack's own `Budget`, so whichever stop condition it holds.
+    fn cancelled_cause(&self) -> ExhaustCause {
+        self.opts.budget.exceeded().map_or(ExhaustCause::Cancelled, cancel_cause)
     }
 
     /// Deepens the unrolling (doubling, capped at the full bound):
     /// retires the old miter clause, grows both miter copies and every
     /// accumulated constraint by the new frames only, and re-asserts
     /// each constraint at the new depth.
-    pub(crate) fn grow_step(&mut self) {
+    fn grow_step(&mut self) {
         let k = self.depth();
         debug_assert!(k < self.k_max);
         let new_k = k.saturating_mul(2).min(self.k_max);
@@ -579,7 +550,7 @@ impl<'a> AttackEngine<'a> {
     /// pinned-input growable unrolling per key copy, constrained as an
     /// implication (`done_k → outputs = label`) so the fact stays sound
     /// as the depth grows.
-    pub(crate) fn apply_dip(&mut self, query: &AttackQuery, resp: &OracleResponse) {
+    fn apply_dip(&mut self, query: &AttackQuery, resp: &OracleResponse) {
         let _pin_span = self.opts.obs.span("attack.constrain");
         let pinned = self.enc.pinned_inputs(&mut self.g, &query.args, &query.mems);
         let k = self.depth();
@@ -619,7 +590,7 @@ impl<'a> AttackEngine<'a> {
     /// search ran out of budget comes back as `Exhausted` under that
     /// budget. (Only an oracle that contradicts itself leaves a collapse
     /// without a key: its constraints have no model.)
-    pub(crate) fn finish_model(
+    fn finish_model(
         &mut self,
         status: SatAttackStatus,
         constraints: &[IoConstraint],
@@ -635,10 +606,6 @@ impl<'a> AttackEngine<'a> {
             Some(_) => SolveOutcome::Cancelled,
             None => {
                 self.set_budget();
-                // A portfolio round leaves its cancelled child budget as
-                // the solver's ctrl; the key search answers to the
-                // attack's own.
-                self.g.solver().set_ctrl(self.opts.budget.clone());
                 self.g.solver().solve()
             }
         };
@@ -649,9 +616,7 @@ impl<'a> AttackEngine<'a> {
             }
             SolveOutcome::Unsat => return (status, None),
             SolveOutcome::Budget => self.budget_cause(),
-            SolveOutcome::Cancelled => {
-                self.opts.budget.exceeded().map_or(ExhaustCause::Cancelled, cancel_cause)
-            }
+            SolveOutcome::Cancelled => self.cancelled_cause(),
         };
         match status {
             SatAttackStatus::Recovered => (SatAttackStatus::Exhausted(cause), None),
@@ -683,7 +648,7 @@ impl<'a> AttackEngine<'a> {
     }
 
     /// Packages the terminal state into the public outcome.
-    pub(crate) fn into_outcome(
+    fn into_outcome(
         self,
         status: SatAttackStatus,
         key: Option<KeyBits>,
@@ -708,7 +673,7 @@ impl<'a> AttackEngine<'a> {
 }
 
 /// The exhaust cause a fired attack `Budget` reports.
-pub(crate) fn cancel_cause(kind: CancelKind) -> ExhaustCause {
+fn cancel_cause(kind: CancelKind) -> ExhaustCause {
     match kind {
         CancelKind::Cancelled => ExhaustCause::Cancelled,
         CancelKind::DeadlineExpired => ExhaustCause::Deadline,

@@ -21,10 +21,9 @@
 //!   working keys, memories, multi-cycle pipelines and all;
 //! - [`sat_attack`]: the DIP loop, generic over the oracle closure and
 //!   lazily unrolled (the miter starts shallow and grows only when a
-//!   model or UNSAT proof touches the k-boundary frame);
-//! - [`sat_attack_portfolio`]: the same loop as a race between
-//!   diversified solver configurations on a [`sim_core::GridExec`]
-//!   grid, first finisher deciding each round.
+//!   model or UNSAT proof touches the k-boundary frame), on one solver
+//!   with one fixed search configuration, so an attack without a
+//!   wall-clock deadline is deterministic.
 //!
 //! ## Example
 //!
@@ -79,7 +78,6 @@
 pub mod attack;
 pub mod bitvec;
 pub mod encode;
-pub mod portfolio;
 
 pub use attack::{
     sat_attack, AttackQuery, ExhaustCause, IoConstraint, OracleResponse, SatAttackOptions,
@@ -87,6 +85,3 @@ pub use attack::{
 };
 pub use bitvec::Bv;
 pub use encode::{EncInputs, Encoder, KeyLits, UnrollState, Unrolling};
-pub use portfolio::{
-    diversified_configs, sat_attack_portfolio, PortfolioOptions, PortfolioOutcome, RacerReport,
-};

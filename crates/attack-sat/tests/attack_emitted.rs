@@ -331,42 +331,3 @@ fn eager_depth_matches_lazy_verdict() {
     assert_eq!(eager.unroll_final, 16, "eager mode must sit at the full bound");
     assert_eq!(eager.growths, 0, "eager mode must never grow");
 }
-
-#[test]
-fn portfolio_recovers_the_exact_key_with_a_deterministic_report() {
-    use attack_sat::{sat_attack_portfolio, PortfolioOptions};
-    let mut fsmd = synth("int f(int a, int b) { return (a ^ 21) + (b ^ 300); }", "f");
-    let key_bits: u32 = fsmd.consts.iter().map(|c| c.storage_width as u32).sum();
-    let key = xorshift_key(key_bits, 0xBEEF);
-    lock_by_hand(&mut fsmd, &key);
-    let text = verilog::emit(&fsmd);
-    let sim = VlogSim::new(&text).expect("parses");
-    let compiled = CompiledFsmd::compile(&fsmd);
-    let mut runner = compiled.runner();
-    let sim_opts = SimOptions { max_cycles: 16, snapshot_on_timeout: false };
-    let mut oracle = |q: &AttackQuery| {
-        let case = TestCase { args: q.args.clone(), mem_inputs: Vec::new() };
-        match runner.run_case(&case, &key, &sim_opts) {
-            Ok(stats) => OracleResponse { done: true, ret: stats.ret, mems: Vec::new() },
-            Err(_) => OracleResponse { done: false, ret: None, mems: Vec::new() },
-        }
-    };
-    let popts = PortfolioOptions { racers: 3, threads: None };
-    let out = sat_attack_portfolio(
-        &sim,
-        &SatAttackOptions { unroll_cycles: 16, ..Default::default() },
-        &popts,
-        &mut oracle,
-    );
-    assert_eq!(out.outcome.status, SatAttackStatus::Recovered);
-    assert_eq!(out.outcome.key.as_ref().expect("key recovered"), &key, "exact working key");
-    assert_eq!(out.racers.len(), 3, "one report per racer");
-    assert!(out.winner < 3);
-    assert_eq!(
-        out.racers.iter().map(|r| r.wins).sum::<u64>(),
-        out.rounds,
-        "every round has exactly one winner"
-    );
-    // The diversification axes actually differ between racers.
-    assert!(out.racers.windows(2).any(|w| w[0].config != w[1].config));
-}

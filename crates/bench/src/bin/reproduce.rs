@@ -37,7 +37,6 @@ const KNOWN: &[&str] = &[
     "profile-smoke",
     "sat-attack",
     "sat-smoke",
-    "sat-portfolio-smoke",
     "chaos-smoke",
     "all",
 ];
@@ -214,12 +213,6 @@ fn main() {
                 // CI-sized SAT-attack check: one kernel, tight budgets,
                 // asserts exact working-key recovery.
                 println!("{}", sat_attack_smoke());
-            }
-            "sat-portfolio-smoke" => {
-                // CI-sized portfolio check: ≥ 2 diversified racers on the
-                // grid recover a cb- key bit-exactly, with a
-                // deterministic winner report.
-                println!("{}", sat_portfolio_smoke());
             }
             "vlog-diff" => {
                 // Three-way differential: all five kernels, correct key +

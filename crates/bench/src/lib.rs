@@ -48,7 +48,7 @@ pub use profile::{
 };
 pub use satattack::{
     attack_kernels, attack_plans, render_sat_attack, sat_attack_paper_attempt, sat_attack_rows,
-    sat_attack_smoke, sat_portfolio_smoke, AttackKernel, SatAttackRow,
+    sat_attack_smoke, AttackKernel, SatAttackRow,
 };
 pub use simbench::{
     check_floor, check_grid_floor, check_spec_floor, grid_smoke, render_sim_bench, sim_bench,

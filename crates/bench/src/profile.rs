@@ -15,7 +15,7 @@ use obs::{ChromeTraceSink, Obs, ProgressTracker};
 use rtl::{CompiledFsmd, SimOptions, TestCase};
 use sim_core::GridExec;
 use std::sync::Arc;
-use tao::{PortfolioOptions, SatAttackConfig, TaoOptions};
+use tao::{SatAttackConfig, TaoOptions};
 
 /// Everything one profiled pass produces.
 #[derive(Debug, Clone)]
@@ -92,14 +92,6 @@ pub fn profile_kernel_with(kernel: &str, smoke: bool, progress: ProgressTracker)
         .expect("emitted text parses");
     let sat_dips = att.outcome.dips;
 
-    // Stage 2b — the same bounded attack raced as a solver portfolio,
-    // so the trace also carries `attack.portfolio` round spans and the
-    // per-racer solver spans interleave across worker threads.
-    let popts = PortfolioOptions { racers: 3, ..PortfolioOptions::default() };
-    let _race =
-        tao::sat_attack_design_portfolio(&d, &wk, std::slice::from_ref(&case), &cfg, &popts)
-            .expect("emitted text parses");
-
     // Stage 3 — a smoke-sized DSE sweep over the same kernel, with the
     // handle forwarded through `DseOptions` (per-phase spans, memo
     // counters, and the sign-off attack's solver spans).
@@ -157,14 +149,17 @@ pub fn check_trace(trace_json: &str) -> Result<Vec<String>, String> {
 }
 
 /// The spans a complete profile trace must cover: one per instrumented
-/// subsystem (grid, SAT solver, single-engine attack loop, portfolio
-/// race, DSE phases).
-pub const REQUIRED_SPANS: [&str; 7] = [
+/// subsystem (grid, SAT solver, DSE phases) plus the attack loop's
+/// stages (the whole attack, its initial encode, each DIP solve and the
+/// final key search).
+pub const REQUIRED_SPANS: [&str; 9] = [
     "grid.run",
     "grid.worker",
     "sat.solve",
     "attack.sat",
-    "attack.portfolio",
+    "attack.encode",
+    "attack.dip",
+    "attack.model",
     "dse.explore",
     "dse.point",
 ];

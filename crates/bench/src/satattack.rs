@@ -210,55 +210,6 @@ pub fn sat_attack_smoke() -> String {
     )
 }
 
-/// CI-sized portfolio check: the `mix` kernel's constants + branches
-/// lock attacked by a grid-raced portfolio of diversified solver
-/// configurations — asserts the exact working key comes back and the
-/// race bookkeeping is consistent (every round was won by somebody, by
-/// the deterministic lowest-index tie-break).
-///
-/// # Panics
-///
-/// Panics when the portfolio fails to collapse the key space, the
-/// recovered key is not the working key, or the per-racer win counts do
-/// not sum to the round count — a race-coordination regression.
-pub fn sat_portfolio_smoke() -> String {
-    let k = attack_kernels().into_iter().find(|k| k.name == "mix").expect("mix exists");
-    let (d, wk) = lock_kernel(&k, PlanConfig::techniques(true, true, false), 0x90f7);
-    let cases: Vec<TestCase> = k.cases.iter().map(|args| TestCase::args(args)).collect();
-    let cfg = SatAttackConfig {
-        max_dips: Some(64),
-        conflict_budget: Some(1_000_000),
-        ..SatAttackConfig::default()
-    };
-    let popts = tao::PortfolioOptions { racers: 3, ..Default::default() };
-    let att = tao::sat_attack_design_portfolio(&d, &wk, &cases, &cfg, &popts).expect("text parses");
-    assert!(
-        att.attack.recovered(),
-        "portfolio key space must collapse: {:?}",
-        att.attack.outcome.status
-    );
-    assert!(att.attack.key_exact, "portfolio key must equal the working key bit for bit");
-    assert!(att.attack.key_functional, "portfolio key must unlock the chip");
-    let wins: u64 = att.racers.iter().map(|r| r.wins).sum();
-    assert_eq!(wins, att.rounds, "every round must have a winner");
-    assert!(att.winner < popts.racers, "winner index in range");
-    let standings: Vec<String> = att
-        .racers
-        .iter()
-        .enumerate()
-        .map(|(i, r)| format!("r{i}:{}w/{}c", r.wins, r.conflicts))
-        .collect();
-    format!(
-        "sat-portfolio-smoke: mix/cb- {} key bits recovered exactly by {} racers in {} \
-         rounds (final winner r{}); standings {}",
-        wk.width(),
-        popts.racers,
-        att.rounds,
-        att.winner,
-        standings.join(" "),
-    )
-}
-
 /// Renders the effort table. `k-fin` is the depth the lazy unrolling
 /// actually reached (≤ the configured `unroll` bound); `cnf` is the
 /// attack's whole CNF in vars/clauses when it stopped: both miter

@@ -12,8 +12,11 @@
 //!   variable activity with phase saving, first-UIP clause learning with
 //!   recursive learnt-clause minimization, LBD (glue) tracking with
 //!   (glue, activity)-ordered database reduction, Luby restarts,
-//!   conflict budgets, incremental solving under assumptions, and
-//!   diversification knobs ([`SolverConfig`]) for portfolio racing;
+//!   conflict budgets, and incremental solving under assumptions, with
+//!   one fixed search configuration (VSIDS decay 0.95, clause-activity
+//!   decay 0.999, Luby unit 128 conflicts, a fresh variable's first
+//!   decision is false), so a given sequence of calls always takes the
+//!   same search;
 //! - [`Gates`]: a small CNF-building API — Tseitin-encoded `and` / `or` /
 //!   `xor` / `mux` gates with constant folding and structural hashing —
 //!   the layer the `attack-sat` bit-blaster builds word-level circuits on.
@@ -40,4 +43,4 @@ pub mod gates;
 pub mod solver;
 
 pub use gates::Gates;
-pub use solver::{Lit, SolveOutcome, Solver, SolverConfig, SolverStats, Var};
+pub use solver::{Lit, SolveOutcome, Solver, SolverStats, Var};

@@ -140,37 +140,13 @@ pub struct SolverStats {
     pub glue_kept: u64,
 }
 
-/// Tunable search parameters. [`Default`] reproduces the solver's
-/// baseline behavior; the attack portfolio diversifies these knobs
-/// across parallel racers.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SolverConfig {
-    /// VSIDS variable-activity decay (activity increment grows by
-    /// `1/var_decay` per conflict). Default `0.95`.
-    pub var_decay: f64,
-    /// Learnt-clause activity decay. Default `0.999`.
-    pub clause_decay: f64,
-    /// Luby restart unit, in conflicts. Default `128`.
-    pub restart_base: u64,
-    /// Initial saved phase for fresh variables. Default `false`.
-    pub phase_init: bool,
-    /// When nonzero, a deterministic xorshift stream derived from this
-    /// seed picks fresh variables' initial phases and adds a tiny
-    /// activity jitter, diversifying branching order between racers.
-    pub seed: u64,
-}
-
-impl Default for SolverConfig {
-    fn default() -> Self {
-        SolverConfig {
-            var_decay: 0.95,
-            clause_decay: 0.999,
-            restart_base: 128,
-            phase_init: false,
-            seed: 0,
-        }
-    }
-}
+/// VSIDS variable-activity decay: the activity increment grows by
+/// `1 / VAR_DECAY` per conflict.
+const VAR_DECAY: f64 = 0.95;
+/// Learnt-clause activity decay.
+const CLAUSE_DECAY: f64 = 0.999;
+/// Luby restart unit, in conflicts.
+const RESTART_BASE: u64 = 128;
 
 /// One watch-list entry: the arena offset of the watching clause plus a
 /// *blocker* literal — some other literal of the clause, checked before
@@ -256,15 +232,6 @@ enum Conflict {
     Bin(Lit, Lit),
 }
 
-fn xorshift(s: &mut u64) -> u64 {
-    let mut x = *s;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *s = x;
-    x
-}
-
 /// The CDCL solver.
 ///
 /// ```
@@ -340,10 +307,6 @@ pub struct Solver {
     min_clear: Vec<Lit>,
     /// Learnt-clause count that triggers the next database reduction.
     next_reduce: usize,
-    /// Search knobs (decay rates, restart unit, phase/seed init).
-    config: SolverConfig,
-    /// Xorshift state for seeded phase/activity diversification.
-    rng: u64,
     /// Telemetry handle (disabled by default): `sat.solve` spans plus
     /// conflict/propagation/learnt-DB samples at every restart.
     obs: obs::Obs,
@@ -388,29 +351,8 @@ impl Solver {
             min_stack: Vec::new(),
             min_clear: Vec::new(),
             next_reduce: 4000,
-            config: SolverConfig::default(),
-            rng: 0,
             obs: obs::Obs::off(),
         }
-    }
-
-    /// Replaces the search configuration. Fresh variables created after
-    /// this call pick up the configured phase initialization (and, with a
-    /// nonzero seed, per-variable phase/activity diversification); decay
-    /// rates and the restart unit apply to every subsequent `solve`.
-    pub fn set_config(&mut self, config: SolverConfig) {
-        self.config = config;
-        self.rng = config.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1);
-        if config.seed != 0 {
-            for ph in &mut self.phase {
-                *ph = xorshift(&mut self.rng) & 1 == 1;
-            }
-        }
-    }
-
-    /// The active search configuration.
-    pub fn config(&self) -> SolverConfig {
-        self.config
     }
 
     /// Attaches a telemetry handle. Enabled, every solve call records a
@@ -426,17 +368,11 @@ impl Solver {
     /// Allocates a fresh variable.
     pub fn new_var(&mut self) -> Var {
         let v = Var(self.assign.len() as u32);
-        let (ph, act) = if self.config.seed != 0 {
-            let r = xorshift(&mut self.rng);
-            (r & 1 == 1, (r >> 32) as f64 * 1e-12)
-        } else {
-            (self.config.phase_init, 0.0)
-        };
         self.assign.push(UNDEF);
-        self.phase.push(ph);
+        self.phase.push(false);
         self.level.push(0);
         self.reason.push(NO_REASON);
-        self.activity.push(act);
+        self.activity.push(0.0);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
         self.bin_imps.push(Vec::new());
@@ -556,7 +492,7 @@ impl Solver {
         let step_end = self.step_budget.map(|b| self.stats.propagations.saturating_add(b));
         let mut restart = 0u64;
         let outcome = loop {
-            let limit = luby(restart) * self.config.restart_base;
+            let limit = luby(restart) * RESTART_BASE;
             match self.search(limit, assumptions, budget_end, step_end) {
                 Search::Sat => {
                     // Every variable is assigned, and `enqueue` saved each
@@ -1183,8 +1119,8 @@ impl Solver {
     }
 
     fn decay_activities(&mut self) {
-        self.var_inc /= self.config.var_decay;
-        self.cla_inc /= self.config.clause_decay;
+        self.var_inc /= VAR_DECAY;
+        self.cla_inc /= CLAUSE_DECAY;
     }
 
     // -------------------------------------------------- decision heap
@@ -1574,55 +1510,6 @@ mod tests {
         let mut s = pigeonhole(8, 7);
         assert_eq!(s.solve(), SolveOutcome::Unsat);
         assert!(s.stats().minimized > 0, "stats: {:?}", s.stats());
-    }
-
-    #[test]
-    fn diversified_configs_agree_on_verdicts() {
-        let mut rng = StdRng::seed_from_u64(41);
-        let configs = [
-            SolverConfig::default(),
-            SolverConfig { var_decay: 0.85, restart_base: 64, ..SolverConfig::default() },
-            SolverConfig { phase_init: true, ..SolverConfig::default() },
-            SolverConfig { seed: 0xC0FFEE, var_decay: 0.99, ..SolverConfig::default() },
-        ];
-        for _ in 0..40 {
-            let n = rng.gen_range(4..10usize);
-            let n_clauses = rng.gen_range(4..30usize);
-            let clauses: Vec<Vec<(usize, bool)>> = (0..n_clauses)
-                .map(|_| {
-                    (0..rng.gen_range(1..4usize))
-                        .map(|_| (rng.gen_range(0..n), rng.gen_bool(0.5)))
-                        .collect()
-                })
-                .collect();
-            let mut verdicts = Vec::new();
-            for cfg in configs {
-                let mut s = Solver::new();
-                s.set_config(cfg);
-                let vars: Vec<Var> = (0..n).map(|_| s.new_var()).collect();
-                for c in &clauses {
-                    let lits: Vec<Lit> = c
-                        .iter()
-                        .map(|&(v, pos)| if pos { vars[v].pos() } else { vars[v].neg() })
-                        .collect();
-                    s.add_clause(&lits);
-                }
-                let got = s.solve();
-                if got == SolveOutcome::Sat {
-                    for c in &clauses {
-                        assert!(
-                            c.iter().any(|&(v, pos)| s.value(vars[v]) == pos),
-                            "model violates {c:?} under {cfg:?}"
-                        );
-                    }
-                }
-                verdicts.push(got);
-            }
-            assert!(
-                verdicts.windows(2).all(|w| w[0] == w[1]),
-                "configs disagree: {verdicts:?} on {clauses:?}"
-            );
-        }
     }
 
     impl Solver {

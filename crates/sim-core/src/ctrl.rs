@@ -12,9 +12,8 @@
 //! loops observe the handle and stop at a safe point. A [`Budget`]
 //! combines three independent stop conditions:
 //!
-//! - a [`CancelToken`] — atomic, cloneable, hierarchical: cancelling a
-//!   parent cancels every child, cancelling a child leaves the parent
-//!   running (one DSE point can give up without stopping the sweep);
+//! - a [`CancelToken`] — one atomic flag shared by every clone, so a
+//!   watchdog holding a clone stops the work that holds another;
 //! - a [`Deadline`] — a wall-clock `Instant` cutoff;
 //! - an optional armed [`FaultPlan`] —
 //!   the deterministic fault-injection harness rides the same handle
@@ -27,10 +26,10 @@
 //! use std::time::Duration;
 //!
 //! let job = Budget::unlimited().with_deadline_after(Duration::from_secs(60));
-//! let probe = job.child(); // cancel the probe without cancelling the job
-//! probe.cancel();
-//! assert_eq!(probe.exceeded(), Some(CancelKind::Cancelled));
+//! let watchdog = job.clone(); // clones share the token
 //! assert_eq!(job.exceeded(), None);
+//! watchdog.cancel();
+//! assert_eq!(job.exceeded(), Some(CancelKind::Cancelled));
 //! ```
 
 use crate::faultpoint::{FaultAction, FaultPlan};
@@ -42,7 +41,7 @@ use std::time::{Duration, Instant};
 /// Why a [`Budget`] stopped the work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CancelKind {
-    /// The token (or one of its ancestors) was cancelled explicitly.
+    /// The token was cancelled explicitly.
     Cancelled,
     /// The wall-clock deadline passed.
     DeadlineExpired,
@@ -57,20 +56,10 @@ impl fmt::Display for CancelKind {
     }
 }
 
-#[derive(Debug)]
-struct TokenInner {
-    flag: AtomicBool,
-    parent: Option<CancelToken>,
-}
-
-/// An atomic, cloneable, hierarchical cancellation flag.
-///
-/// Clones share one flag. [`CancelToken::child`] creates a token that
-/// observes its parent chain: the child reports cancelled when any
-/// ancestor is, but cancelling the child never touches the parent.
+/// An atomic, cloneable cancellation flag. Clones share one flag.
 #[derive(Debug, Clone)]
 pub struct CancelToken {
-    inner: Arc<TokenInner>,
+    flag: Arc<AtomicBool>,
 }
 
 impl Default for CancelToken {
@@ -80,46 +69,27 @@ impl Default for CancelToken {
 }
 
 impl CancelToken {
-    /// A fresh, uncancelled root token.
+    /// A fresh, uncancelled token.
     pub fn new() -> Self {
-        CancelToken { inner: Arc::new(TokenInner { flag: AtomicBool::new(false), parent: None }) }
+        CancelToken { flag: Arc::new(AtomicBool::new(false)) }
     }
 
-    /// A child token: cancelled when this token (or any ancestor) is,
-    /// but cancellable on its own without affecting the parent.
-    pub fn child(&self) -> Self {
-        CancelToken {
-            inner: Arc::new(TokenInner {
-                flag: AtomicBool::new(false),
-                parent: Some(self.clone()),
-            }),
-        }
-    }
-
-    /// Raises the flag on this token (and thereby on every descendant).
-    /// Idempotent.
+    /// Raises the flag (seen by every clone). Idempotent.
     pub fn cancel(&self) {
-        self.inner.flag.store(true, Ordering::Release);
+        // Pairs with the Acquire load in `is_cancelled`: a loop that sees
+        // the flag also sees what the canceller wrote before raising it.
+        self.flag.store(true, Ordering::Release);
     }
 
-    /// Whether this token or any ancestor has been cancelled.
+    /// Whether the flag has been raised.
     pub fn is_cancelled(&self) -> bool {
-        let mut t = self;
-        loop {
-            if t.inner.flag.load(Ordering::Acquire) {
-                return true;
-            }
-            match &t.inner.parent {
-                Some(p) => t = p,
-                None => return false,
-            }
-        }
+        self.flag.load(Ordering::Acquire)
     }
 
     /// Identity comparison: two handles are equal when they share the
-    /// same flag (clones yes, children no).
+    /// same flag (clones yes, separately created tokens no).
     pub fn same(&self, other: &CancelToken) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
+        Arc::ptr_eq(&self.flag, &other.flag)
     }
 }
 
@@ -185,10 +155,8 @@ pub(crate) struct FaultState {
 /// [`FaultPlan`].
 ///
 /// Cheap to clone; clones share the token, deadline, and plan.
-/// [`Budget::child`] derives a handle whose cancellation is
-/// subordinate: the child stops when the parent stops, but can be
-/// cancelled alone. Equality is identity on the token (what
-/// `PartialEq`-deriving option structs need), not deep state.
+/// Equality is identity on the token (what `PartialEq`-deriving option
+/// structs need), not deep state.
 #[derive(Debug, Clone)]
 pub struct Budget {
     token: CancelToken,
@@ -218,7 +186,7 @@ impl Eq for Budget {}
 impl Budget {
     /// Never expires, never cancelled (until [`Budget::cancel`] is
     /// called on this handle or a clone). The zero-cost default: one
-    /// relaxed atomic load per check, no clock reads.
+    /// acquire load per check, no clock reads.
     pub fn unlimited() -> Self {
         Budget { token: CancelToken::new(), deadline: Deadline::none(), faults: None }
     }
@@ -235,21 +203,15 @@ impl Budget {
     }
 
     /// Arms a [`FaultPlan`] on this handle: every fault site reached by
-    /// work governed by this budget (or a [`Budget::child`] of it)
-    /// consults the plan. Plans are budget-scoped, not process-global,
-    /// so concurrently running tests never observe each other's faults.
+    /// work governed by this budget (or a clone of it) consults the
+    /// plan. Plans are budget-scoped, not process-global, so
+    /// concurrently running tests never observe each other's faults.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(Arc::new(FaultState { plan, fired: Mutex::new(Vec::new()) }));
         self
     }
 
-    /// A subordinate handle: stops when `self` stops (cancel or
-    /// deadline), cancellable alone, sharing the armed fault plan.
-    pub fn child(&self) -> Self {
-        Budget { token: self.token.child(), deadline: self.deadline, faults: self.faults.clone() }
-    }
-
-    /// Cancels this handle (and every child derived from it).
+    /// Cancels this handle and every clone of it.
     pub fn cancel(&self) {
         self.token.cancel();
     }
@@ -339,27 +301,6 @@ mod tests {
     }
 
     #[test]
-    fn child_cancellation_is_one_way() {
-        let parent = Budget::unlimited();
-        let child = parent.child();
-        let grandchild = child.child();
-        child.cancel();
-        assert_eq!(parent.exceeded(), None);
-        assert_eq!(child.exceeded(), Some(CancelKind::Cancelled));
-        assert_eq!(grandchild.exceeded(), Some(CancelKind::Cancelled));
-        parent.cancel();
-        assert!(parent.is_exceeded());
-    }
-
-    #[test]
-    fn parent_cancellation_reaches_children() {
-        let parent = Budget::unlimited();
-        let child = parent.child();
-        parent.cancel();
-        assert_eq!(child.exceeded(), Some(CancelKind::Cancelled));
-    }
-
-    #[test]
     fn deadlines_expire() {
         let b = Budget::with_deadline(Deadline::at(Instant::now() - Duration::from_millis(1)));
         assert_eq!(b.exceeded(), Some(CancelKind::DeadlineExpired));
@@ -376,18 +317,11 @@ mod tests {
     }
 
     #[test]
-    fn children_inherit_the_deadline() {
-        let b = Budget::with_deadline(Deadline::at(Instant::now() - Duration::from_millis(1)));
-        assert_eq!(b.child().exceeded(), Some(CancelKind::DeadlineExpired));
-    }
-
-    #[test]
     fn equality_is_identity_on_the_token() {
         let a = Budget::unlimited();
         let b = a.clone();
         assert_eq!(a, b);
         assert_ne!(a, Budget::unlimited());
-        assert_ne!(a, a.child());
     }
 
     #[test]

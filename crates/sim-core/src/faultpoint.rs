@@ -212,21 +212,13 @@ mod tests {
     #[test]
     fn cancel_spec_cancels_the_budget() {
         let b = Budget::unlimited().with_faults(FaultPlan::new().cancel_at(sites::DSE_POINT, 1));
-        b.fault_hit(sites::DSE_POINT, 0);
+        let clone = b.clone();
+        clone.fault_hit(sites::DSE_POINT, 0);
         assert_eq!(b.exceeded(), None);
-        b.fault_hit(sites::DSE_POINT, 1);
+        clone.fault_hit(sites::DSE_POINT, 1);
         assert_eq!(b.exceeded(), Some(CancelKind::Cancelled));
-    }
-
-    #[test]
-    fn cancel_spec_on_a_child_cancels_only_the_child() {
-        let parent = Budget::unlimited().with_faults(FaultPlan::new().cancel_at("x", 0));
-        let child = parent.child();
-        child.fault_hit("x", 0);
-        assert!(child.is_exceeded());
-        assert!(!parent.is_exceeded());
-        // The fired record is shared plan state, visible from both.
-        assert_eq!(parent.faults_fired(), vec![("x".to_string(), 0)]);
+        // The fired record is shared plan state, visible from every clone.
+        assert_eq!(b.faults_fired(), vec![(sites::DSE_POINT.to_string(), 1)]);
     }
 
     #[test]

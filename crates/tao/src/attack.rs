@@ -20,7 +20,7 @@
 
 use crate::flow::LockedDesign;
 use attack_sat::{AttackQuery, OracleResponse, SatAttackOptions, SatAttackOutcome};
-pub use attack_sat::{ExhaustCause, IoConstraint, PortfolioOptions, RacerReport, SatAttackStatus};
+pub use attack_sat::{ExhaustCause, IoConstraint, SatAttackStatus};
 use hls_core::{verilog, KeyBits};
 use hls_ir::ArrayId;
 use rtl::{images_equal, CompiledFsmd, OutputImage, SimOptions, TestCase};
@@ -170,6 +170,8 @@ fn true_assignment(correct_key: &KeyBits, branch_bits: &[u32]) -> u64 {
 pub struct SatAttackConfig {
     /// Explicit unrolling depth, or `None` to probe the correct-key
     /// latency over the given cases and add [`SatAttackConfig::slack`].
+    /// An explicit depth of 0 is read as 1, the shallowest observable
+    /// (as [`SatAttackOptions::unroll_cycles`] reads it).
     pub unroll: Option<u32>,
     /// Extra cycles on top of the probed latency (room for wrong keys
     /// whose last distinguishing write lands late).
@@ -221,7 +223,8 @@ impl Default for SatAttackConfig {
 pub struct SatDesignAttack {
     /// The DIP loop's outcome and effort counters.
     pub outcome: SatAttackOutcome,
-    /// The unrolling depth used (the bounded observable's cycle budget).
+    /// The unrolling depth used (the bounded observable's cycle budget;
+    /// at least 1).
     pub unroll: u32,
     /// The recovered key equals the true working key bit for bit.
     pub key_exact: bool,
@@ -265,68 +268,6 @@ pub fn sat_attack_design(
     cases: &[TestCase],
     cfg: &SatAttackConfig,
 ) -> Result<SatDesignAttack, VlogError> {
-    sat_attack_design_with(design, correct_key, cases, cfg, |sim, opts, oracle| {
-        attack_sat::sat_attack(sim, opts, oracle)
-    })
-}
-
-/// [`sat_attack_design`] with the DIP loop run as a portfolio of racing
-/// solver configurations (see [`attack_sat::sat_attack_portfolio`]):
-/// same oracle, same observable, same verification, but each round's
-/// answer comes from whichever diversified racer finishes first.
-///
-/// # Errors
-///
-/// Returns [`VlogError`] when the emitted text fails to parse.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`sat_attack_design`].
-pub fn sat_attack_design_portfolio(
-    design: &LockedDesign,
-    correct_key: &KeyBits,
-    cases: &[TestCase],
-    cfg: &SatAttackConfig,
-    popts: &attack_sat::PortfolioOptions,
-) -> Result<SatPortfolioAttack, VlogError> {
-    let mut race = None;
-    let attack = sat_attack_design_with(design, correct_key, cases, cfg, |sim, opts, oracle| {
-        let p = attack_sat::sat_attack_portfolio(sim, opts, popts, oracle);
-        race = Some((p.winner, p.rounds, p.racers));
-        p.outcome
-    })?;
-    let (winner, rounds, racers) = race.expect("portfolio ran");
-    Ok(SatPortfolioAttack { attack, winner, rounds, racers })
-}
-
-/// Result of [`sat_attack_design_portfolio`]: the verified attack plus
-/// the race report.
-#[derive(Debug, Clone)]
-pub struct SatPortfolioAttack {
-    /// The winning path's outcome and design-house verification.
-    pub attack: SatDesignAttack,
-    /// Racer index whose answer ended the attack.
-    pub winner: usize,
-    /// DIP-loop rounds raced.
-    pub rounds: u64,
-    /// Per-racer configs and effort, in racer-index order.
-    pub racers: Vec<attack_sat::RacerReport>,
-}
-
-/// The shared scaffold of the design-level attacks: emit + parse the
-/// foundry-visible text, probe the latency bound, build the tape-backed
-/// oracle, run `attack`, verify the recovered key against the truth.
-fn sat_attack_design_with(
-    design: &LockedDesign,
-    correct_key: &KeyBits,
-    cases: &[TestCase],
-    cfg: &SatAttackConfig,
-    attack: impl FnOnce(
-        &VlogSim,
-        &SatAttackOptions,
-        &mut dyn FnMut(&AttackQuery) -> OracleResponse,
-    ) -> SatAttackOutcome,
-) -> Result<SatDesignAttack, VlogError> {
     let text = verilog::emit(&design.fsmd);
     let sim = VlogSim::new(&text)?;
     let compiled = CompiledFsmd::compile(&design.fsmd);
@@ -339,6 +280,7 @@ fn sat_attack_design_with(
     let mut probe = compiled.runner();
     let (unroll, probed_worst) = match cfg.unroll {
         Some(k) => {
+            let k = k.max(1);
             let probe_opts = SimOptions { max_cycles: u64::from(k), snapshot_on_timeout: false };
             let worst = cases
                 .iter()
@@ -404,7 +346,7 @@ fn sat_attack_design_with(
         obs: cfg.obs.clone(),
         progress: cfg.progress.clone(),
     };
-    let outcome = attack(&sim, &opts, &mut oracle);
+    let outcome = attack_sat::sat_attack(&sim, &opts, &mut oracle);
 
     // Design-house verification: bit-exactness and functional parity in
     // the attack's own observable — done-within-k plus the output image.
@@ -621,21 +563,25 @@ mod tests {
     }
 
     #[test]
-    fn portfolio_design_attack_recovers_exactly() {
+    fn a_zero_unroll_bound_reads_as_one_cycle() {
         let m = hls_frontend::compile(KERNEL, "t").unwrap();
-        let lk = locking(9);
-        let d = lock(&m, "f", &lk, &branch_only()).unwrap();
+        let lk = locking(10);
+        let opts = TaoOptions {
+            plan: PlanConfig { dfg_variants: false, ..PlanConfig::default() },
+            ..TaoOptions::default()
+        };
+        let d = lock(&m, "f", &lk, &opts).unwrap();
         let wk = d.working_key(&lk);
-        let cases: Vec<TestCase> =
-            [(9u64, 3u64), (3, 9)].iter().map(|&(a, b)| TestCase::args(&[a, b])).collect();
-        let popts = attack_sat::PortfolioOptions { racers: 2, threads: None };
-        let out = sat_attack_design_portfolio(&d, &wk, &cases, &SatAttackConfig::default(), &popts)
-            .unwrap();
-        assert!(out.attack.recovered());
-        assert!(out.attack.key_exact, "branch polarities are fully observable");
-        assert_eq!(out.racers.len(), 2);
-        assert_eq!(out.racers.iter().map(|r| r.wins).sum::<u64>(), out.rounds);
-        assert!(out.winner < 2);
+        let cases = [TestCase::args(&[9, 3])];
+        let cfg = SatAttackConfig { unroll: Some(0), ..SatAttackConfig::default() };
+        let att = sat_attack_design(&d, &wk, &cases, &cfg).unwrap();
+        assert_eq!(att.unroll, 1);
+        assert_eq!(att.outcome.unroll_final, 1);
+        // No key finishes within one cycle, so no input tells two keys
+        // apart and the space collapses without a DIP.
+        assert!(att.recovered());
+        assert_eq!(att.outcome.dips, 0);
+        assert!(att.key_functional);
     }
 
     #[test]

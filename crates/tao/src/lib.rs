@@ -48,9 +48,9 @@ mod variants;
 pub mod verify;
 
 pub use attack::{
-    compare_attacks, oracle_guided_branch_attack, sat_attack_design, sat_attack_design_portfolio,
-    AttackComparison, BranchAttackOutcome, ExhaustCause, IoConstraint, KeySpace, PortfolioOptions,
-    RacerReport, SatAttackConfig, SatAttackStatus, SatDesignAttack, SatPortfolioAttack,
+    compare_attacks, oracle_guided_branch_attack, sat_attack_design, AttackComparison,
+    BranchAttackOutcome, ExhaustCause, IoConstraint, KeySpace, SatAttackConfig, SatAttackStatus,
+    SatDesignAttack,
 };
 pub use branches::obfuscate_branches;
 pub use constants::obfuscate_constants;

@@ -170,20 +170,14 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! The same loop runs as a **portfolio**
-//! ([`tao::sat_attack_design_portfolio`]): every DIP round races
-//! diversified solver configurations (VSIDS decay, restart scaling,
-//! phase polarity, seed) on the work-stealing grid; the first racer to
-//! finish answers the round and the rest are cancelled through the
-//! shared `Budget` machinery:
+//! One solver with one fixed search configuration runs the whole loop,
+//! so without a wall-clock deadline an attack's DIPs, conflicts and
+//! recovered key are the same on every run:
 //!
 //! ```
 //! use tao_repro::hls_core::KeyBits;
 //! use tao_repro::rtl::TestCase;
-//! use tao_repro::tao::{
-//!     lock, sat_attack_design_portfolio, PlanConfig, PortfolioOptions, SatAttackConfig,
-//!     TaoOptions,
-//! };
+//! use tao_repro::tao::{lock, sat_attack_design, PlanConfig, SatAttackConfig, TaoOptions};
 //!
 //! let m = tao_repro::hls_frontend::compile(
 //!     "int f(int a, int b) { int r = a ^ 9; if (r > b) r = r + b; return r; }", "d")?;
@@ -196,12 +190,13 @@
 //! let wk = design.working_key(&locking);
 //! let cases = [TestCase::args(&[5, 3]), TestCase::args(&[3, 5])];
 //!
-//! let popts = PortfolioOptions { racers: 2, ..PortfolioOptions::default() };
-//! let race =
-//!     sat_attack_design_portfolio(&design, &wk, &cases, &SatAttackConfig::default(), &popts)?;
-//! assert!(race.attack.recovered());
-//! assert_eq!(race.attack.outcome.key.as_ref(), Some(&wk));
-//! assert!(race.winner < popts.racers, "winner is a racer index");
+//! let first = sat_attack_design(&design, &wk, &cases, &SatAttackConfig::default())?.outcome;
+//! let again = sat_attack_design(&design, &wk, &cases, &SatAttackConfig::default())?.outcome;
+//! assert_eq!(first.status, again.status);
+//! assert_eq!(first.key, again.key);
+//! assert_eq!((first.dips, first.conflicts), (again.dips, again.conflicts));
+//! assert_eq!((first.propagations, first.clauses), (again.propagations, again.clauses));
+//! assert_eq!(first.constraints, again.constraints, "same DIPs in the same order");
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!

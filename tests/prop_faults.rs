@@ -321,8 +321,8 @@ fn attack_budgets_bound_the_effort_and_keep_keys_consistent() {
     assert!(out.key.is_some(), "with no constraint every key is consistent");
     // A cancel raised inside a solve, at the solver's `sat.propagate`
     // check ordinal: ordinal 0 lands in the first miter solve, before
-    // any DIP; ordinal 1,600 (about 410k propagations) lands after both
-    // attacks have labelled some.
+    // any DIP; ordinal 1,600 (about 410k propagated literals) lands
+    // after both attacks have labelled some.
     for (coord, labelled) in [(0u64, false), (1_600, true)] {
         for kernel @ (_, top, _) in ATTACK_KERNELS {
             let budget = Budget::unlimited()
