@@ -212,18 +212,6 @@ pub struct SatAttackOutcome {
     pub constraints: Vec<IoConstraint>,
 }
 
-impl SatAttackOutcome {
-    /// DIPs per second of wall time.
-    pub fn dips_per_sec(&self) -> f64 {
-        self.dips as f64 / self.wall.as_secs_f64().max(1e-9)
-    }
-
-    /// Conflicts per second of wall time.
-    pub fn conflicts_per_sec(&self) -> f64 {
-        self.conflicts as f64 / self.wall.as_secs_f64().max(1e-9)
-    }
-}
-
 /// Runs the DIP loop against `oracle` on the elaborated netlist `sim`.
 ///
 /// The oracle is any black box honouring the bounded observable —

@@ -69,7 +69,7 @@ pub fn analyze_trace_file(path: &Path) -> Result<AnalyzeReport, String> {
 ///
 /// Panics when any of those criteria fails.
 pub fn analyze_smoke() -> String {
-    let rep = crate::profile::profile_kernel("gsm", true);
+    let rep = crate::profile::profile_kernel("gsm", true, obs::ProgressTracker::off());
     let trace_path = PathBuf::from("target/trace_analyze_smoke.json");
     if let Some(dir) = trace_path.parent() {
         std::fs::create_dir_all(dir).expect("target dir");

@@ -32,7 +32,6 @@ const KNOWN: &[&str] = &[
     "analyze",
     "analyze-smoke",
     "grid-smoke",
-    "spec-smoke",
     "profile",
     "profile-smoke",
     "sat-attack",
@@ -223,19 +222,16 @@ fn main() {
             }
             "sim-bench" | "sim-bench-smoke" => {
                 // Simulator throughput (the smoke size runs two kernels),
-                // gated by the three floors, each a ratio of two backends
-                // measured in this process.
+                // gated by the two floors, each a ratio of two
+                // measurements taken in this process.
                 let rows = if what == "sim-bench" { sim_bench() } else { sim_bench_smoke() };
                 println!("{}", render_sim_bench(&rows));
-                let violations: Vec<String> = [
-                    check_floor(&rows, VLOG_TAPE_FLOOR),
-                    check_spec_floor(&rows, SPEC_FLOOR),
-                    check_grid_floor(&rows, GRID_FLOOR),
-                ]
-                .into_iter()
-                .filter_map(Result::err)
-                .flatten()
-                .collect();
+                let violations: Vec<String> =
+                    [check_floor(&rows, VLOG_TAPE_FLOOR), check_grid_floor(&rows, GRID_FLOOR)]
+                        .into_iter()
+                        .filter_map(Result::err)
+                        .flatten()
+                        .collect();
                 if !violations.is_empty() {
                     for v in &violations {
                         eprintln!("FLOOR VIOLATION: {v}");
@@ -249,7 +245,7 @@ fn main() {
                 // (chrome://tracing or ui.perfetto.dev) plus the metric
                 // registry's summary table.
                 let progress = obs::ProgressTracker::new(obs::StderrTicker::default());
-                let rep = profile_kernel_with(&profile_kernel_name, false, progress);
+                let rep = profile_kernel(&profile_kernel_name, false, progress);
                 let path = &profile_out_path;
                 if let Some(dir) = std::path::Path::new(path).parent() {
                     let _ = std::fs::create_dir_all(dir);
@@ -311,12 +307,6 @@ fn main() {
                 // sweep on ≥2 workers must match the sequential grid
                 // bit for bit.
                 println!("{}", grid_smoke());
-            }
-            "spec-smoke" => {
-                // CI specialization gate: a grid sweep on the threaded
-                // specialized backend must match the sequential tape
-                // grid bit for bit (locked design, correct + wrong keys).
-                println!("{}", spec_smoke());
             }
             other => unreachable!("`{other}` passed the KNOWN check"),
         }

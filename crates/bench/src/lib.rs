@@ -43,16 +43,13 @@ pub use analyze::{analyze_smoke, analyze_trace_file, AnalyzeReport};
 pub use chaos::chaos_smoke;
 pub use dse::{dse_kernels, dse_sweep, smoke_sweep};
 pub use experiments::*;
-pub use profile::{
-    check_trace, profile_kernel, profile_kernel_with, profile_smoke, ProfileReport, REQUIRED_SPANS,
-};
+pub use profile::{check_trace, profile_kernel, profile_smoke, ProfileReport, REQUIRED_SPANS};
 pub use satattack::{
     attack_kernels, attack_plans, render_sat_attack, sat_attack_paper_attempt, sat_attack_rows,
     sat_attack_smoke, AttackKernel, SatAttackRow,
 };
 pub use simbench::{
-    check_floor, check_grid_floor, check_spec_floor, grid_smoke, render_sim_bench, sim_bench,
-    sim_bench_smoke, spec_smoke, SimBenchRow, GRID_FLOOR, GRID_FLOOR_MIN_WORKERS, SPEC_FLOOR,
-    VLOG_TAPE_FLOOR,
+    check_floor, check_grid_floor, grid_smoke, render_sim_bench, sim_bench, sim_bench_smoke,
+    SimBenchRow, GRID_FLOOR, GRID_FLOOR_MIN_WORKERS, VLOG_TAPE_FLOOR,
 };
 pub use vlogdiff::{vlog_diff, vlog_diff_clean, VlogDiffRow};

@@ -37,25 +37,16 @@ pub struct ProfileReport {
 /// Profiles one suite kernel: a parallel grid sweep, a budgeted SAT
 /// attack and a smoke-sized DSE sweep, all feeding one shared [`Obs`]
 /// handle whose sink is a Chrome trace. `smoke` tightens every budget
-/// to CI size.
+/// to CI size. `progress` is threaded through every stage (grid trials,
+/// attack DIPs, DSE points); pass [`ProgressTracker::off()`] for a
+/// silent pass.
 ///
 /// # Panics
 ///
 /// Panics when `kernel` is not in the benchmark suite or any stage
 /// fails to compile/lock — the suite kernels are fixtures, so that is a
 /// bug, not an input error.
-pub fn profile_kernel(kernel: &str, smoke: bool) -> ProfileReport {
-    profile_kernel_with(kernel, smoke, ProgressTracker::off())
-}
-
-/// [`profile_kernel`] with a live [`ProgressTracker`] threaded through
-/// every stage (grid trials, attack DIPs, DSE points). Pass
-/// [`ProgressTracker::off()`] for the silent variant.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`profile_kernel`].
-pub fn profile_kernel_with(kernel: &str, smoke: bool, progress: ProgressTracker) -> ProfileReport {
+pub fn profile_kernel(kernel: &str, smoke: bool, progress: ProgressTracker) -> ProfileReport {
     let sink = Arc::new(ChromeTraceSink::new());
     let obs = Obs::new(Arc::clone(&sink));
 
@@ -93,8 +84,8 @@ pub fn profile_kernel_with(kernel: &str, smoke: bool, progress: ProgressTracker)
     let sat_dips = att.outcome.dips;
 
     // Stage 3 — a smoke-sized DSE sweep over the same kernel, with the
-    // handle forwarded through `DseOptions` (per-phase spans, memo
-    // counters, and the sign-off attack's solver spans).
+    // handle forwarded through `DseOptions`: per-phase `dse.*` spans and
+    // the memo counters (no SAT sign-off runs, so no solver spans).
     let stim = &b.stimuli(1, 7)[0];
     let dse_kernels =
         vec![Kernel::new(b.name, b.source, b.top, stim.args.clone())
@@ -173,7 +164,7 @@ pub const REQUIRED_SPANS: [&str; 9] = [
 /// Panics when the trace is malformed, a required span is missing, or a
 /// core counter stayed at zero.
 pub fn profile_smoke() -> String {
-    let rep = profile_kernel("sobel", true);
+    let rep = profile_kernel("sobel", true, ProgressTracker::off());
     let names = check_trace(&rep.trace_json).expect("profile trace is well-formed");
     for span in REQUIRED_SPANS {
         assert!(names.iter().any(|n| n == span), "trace covers no `{span}` span: {names:?}");

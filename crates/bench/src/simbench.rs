@@ -1,9 +1,8 @@
 //! Simulator-throughput benchmark with in-process speedup floors.
 //!
-//! `reproduce -- sim-bench` measures cycles/second for all five
+//! `reproduce -- sim-bench` measures cycles/second for all four
 //! backends — FSMD tree ([`rtl::simulate`]), FSMD tape
-//! ([`rtl::CompiledFsmd`]), the bind-time specialized threaded code
-//! ([`rtl::SpecFsmd`]), Verilog tree ([`vlog::VlogSim`]), Verilog tape
+//! ([`rtl::CompiledFsmd`]), Verilog tree ([`vlog::VlogSim`]), Verilog tape
 //! ([`vlog::VlogTape`]) — plus the scaling of the **parallel grid**
 //! ([`sim_core::GridExec`] over the FSMD tape, against the same trials
 //! run sequentially) on the locked benchmark kernels, prints the table,
@@ -16,7 +15,7 @@
 
 use crate::experiments::{locking_key, test_case};
 use hls_core::verilog;
-use rtl::{rtl_outputs, CompiledFsmd, SimOptions, SpecFsmd, TestCase};
+use rtl::{rtl_outputs, CompiledFsmd, SimOptions, TestCase};
 use sim_core::GridExec;
 use std::time::Instant;
 use tao::TaoOptions;
@@ -28,12 +27,6 @@ use vlog::{vlog_outputs, VlogSim, VlogTape};
 /// leaves headroom for noisy CI machines while still catching a
 /// de-compiled hot path.
 pub const VLOG_TAPE_FLOOR: f64 = 2.0;
-
-/// The bind-time specialized backend ([`rtl::SpecFsmd`]) must beat this
-/// multiple of the FSMD tape backend measured in the same process, else
-/// the run fails: the threaded-code lowering exists to out-dispatch
-/// the tape interpreter, and this floor is the contract.
-pub const SPEC_FLOOR: f64 = 1.5;
 
 /// Grid scaling floor: with at least [`GRID_FLOOR_MIN_WORKERS`] workers
 /// the parallel (case × key) grid must run the same trials at least this
@@ -55,8 +48,6 @@ pub struct SimBenchRow {
     pub fsmd_tree_cps: f64,
     /// FSMD compiled-tape backend.
     pub fsmd_tape_cps: f64,
-    /// Bind-time specialized threaded-code backend.
-    pub spec_cps: f64,
     /// Verilog-text tree-walking backend.
     pub vlog_tree_cps: f64,
     /// Verilog-text compiled-tape backend.
@@ -86,12 +77,6 @@ impl SimBenchRow {
     pub fn grid_speedup(&self) -> f64 {
         self.grid_cps / self.grid_seq_cps
     }
-
-    /// Specialized-vs-tape speedup of the FSMD backend (what bind-time
-    /// lowering buys over the already-compiled interpreter).
-    pub fn spec_speedup(&self) -> f64 {
-        self.spec_cps / self.fsmd_tape_cps
-    }
 }
 
 /// Times `run` (one full simulation per call) until `min_ms` of wall
@@ -110,7 +95,7 @@ fn throughput(cycles_per_run: u64, min_ms: u64, mut run: impl FnMut()) -> f64 {
     }
 }
 
-/// Measures all four backends plus the parallel grid on one locked
+/// Measures the four backends plus the parallel grid on one locked
 /// kernel.
 fn bench_kernel(name: &str, min_ms: u64) -> SimBenchRow {
     let b = benchmarks::by_name(name).expect("suite kernel");
@@ -131,34 +116,12 @@ fn bench_kernel(name: &str, min_ms: u64) -> SimBenchRow {
     let fsmd_tree_cps = throughput(cycles, min_ms, || {
         rtl_outputs(&d.fsmd, &case, &wk, &opts).expect("fsmd tree");
     });
-    // Specialized threaded code: bind once per key, then dispatch
-    // through pre-resolved fn-pointer handlers. The reused runner
-    // matches the batch pattern every sweep consumer uses.
-    //
-    // The spec floor gates on the in-process spec/tape *ratio*, so the
-    // two backends are measured as six *paired* rounds of adjacent short
-    // windows and the pair with the median ratio is kept: both numbers
-    // of the reported pair come from the same machine state (frequency,
-    // co-tenant load), so a scheduler stall or boost window hitting only
-    // one backend's sample can no longer move the gated ratio, and the
-    // median rejects the outlier rounds entirely.
-    let spec = SpecFsmd::compile(&d.fsmd);
+    // The reused runner matches the batch pattern every sweep consumer
+    // uses: the key binds once, then every run reuses the buffers.
     let mut frun = ctape.runner();
-    let mut srun = spec.runner();
-    let win = (min_ms / 2).max(50);
-    let mut pairs: Vec<(f64, f64)> = (0..6)
-        .map(|_| {
-            let t = throughput(cycles, win, || {
-                frun.run_case(&case, &wk, &opts).expect("fsmd tape");
-            });
-            let s = throughput(cycles, win, || {
-                srun.run_case(&case, &wk, &opts).expect("spec");
-            });
-            (t, s)
-        })
-        .collect();
-    pairs.sort_by(|x, y| (x.1 / x.0).total_cmp(&(y.1 / y.0)));
-    let (fsmd_tape_cps, spec_cps) = pairs[pairs.len() / 2];
+    let fsmd_tape_cps = throughput(cycles, min_ms, || {
+        frun.run_case(&case, &wk, &opts).expect("fsmd tape");
+    });
     let vlog_tree_cps = throughput(cycles, min_ms, || {
         vlog_outputs(&vtree, &case, &wk, &opts, &d.fsmd.mem_of_array).expect("vlog tree");
     });
@@ -193,7 +156,6 @@ fn bench_kernel(name: &str, min_ms: u64) -> SimBenchRow {
         cycles,
         fsmd_tree_cps,
         fsmd_tape_cps,
-        spec_cps,
         vlog_tree_cps,
         vlog_tape_cps,
         grid_cps,
@@ -216,18 +178,15 @@ pub fn sim_bench_smoke() -> Vec<SimBenchRow> {
 pub fn render_sim_bench(rows: &[SimBenchRow]) -> String {
     let mut out = String::new();
     out.push_str(
-        "Simulator throughput (cycles/s; tape = compiled backend; spec = bind-time \
-         specialized threaded code; grid = the correct-key run as 25 parallel trials; \
-         scaling = grid vs the same trials run sequentially)\n",
+        "Simulator throughput (cycles/s; tape = compiled backend; grid = the correct-key \
+         run as 25 parallel trials; scaling = grid vs the same trials run sequentially)\n",
     );
     out.push_str(&format!(
-        "{:<10} {:>9} {:>12} {:>12} {:>8} {:>12} {:>8} {:>12} {:>12} {:>8} {:>12} {:>8} {:>8}\n",
+        "{:<10} {:>9} {:>12} {:>12} {:>8} {:>12} {:>12} {:>8} {:>12} {:>8} {:>8}\n",
         "kernel",
         "cycles",
         "fsmd-tree",
         "fsmd-tape",
-        "speedup",
-        "spec",
         "speedup",
         "vlog-tree",
         "vlog-tape",
@@ -238,15 +197,13 @@ pub fn render_sim_bench(rows: &[SimBenchRow]) -> String {
     ));
     for r in rows {
         out.push_str(&format!(
-            "{:<10} {:>9} {:>12.0} {:>12.0} {:>7.1}x {:>12.0} {:>7.1}x {:>12.0} {:>12.0} \
-             {:>7.1}x {:>12.0} {:>7.1}x {:>8}\n",
+            "{:<10} {:>9} {:>12.0} {:>12.0} {:>7.1}x {:>12.0} {:>12.0} {:>7.1}x {:>12.0} \
+             {:>7.1}x {:>8}\n",
             r.name,
             r.cycles,
             r.fsmd_tree_cps,
             r.fsmd_tape_cps,
             r.fsmd_speedup(),
-            r.spec_cps,
-            r.spec_speedup(),
             r.vlog_tree_cps,
             r.vlog_tape_cps,
             r.vlog_speedup(),
@@ -276,36 +233,6 @@ pub fn check_floor(rows: &[SimBenchRow], floor: f64) -> Result<(), Vec<String>> 
                 r.vlog_tape_cps,
                 r.vlog_speedup(),
                 r.vlog_tree_cps,
-            )
-        })
-        .collect();
-    if violations.is_empty() {
-        Ok(())
-    } else {
-        Err(violations)
-    }
-}
-
-/// `Err` with the offending rows when any kernel's bind-time specialized
-/// backend falls below `floor ×` the FSMD tape backend measured in the
-/// same process. Both run in one process on one machine, so
-/// the ratio is machine-independent and gates unconditionally.
-///
-/// # Errors
-///
-/// Returns the list of violations, one line per failing kernel.
-pub fn check_spec_floor(rows: &[SimBenchRow], floor: f64) -> Result<(), Vec<String>> {
-    let violations: Vec<String> = rows
-        .iter()
-        .filter(|r| r.spec_speedup() < floor)
-        .map(|r| {
-            format!(
-                "{}: specialized backend {:.0} cycles/s is only {:.2}x the fsmd tape \
-                 ({:.0}), floor {floor}x",
-                r.name,
-                r.spec_cps,
-                r.spec_speedup(),
-                r.fsmd_tape_cps,
             )
         })
         .collect();
@@ -391,52 +318,6 @@ pub fn grid_smoke() -> String {
     )
 }
 
-// ----------------------------------------------------------- spec smoke
-
-/// CI-sized specialization check: a locked kernel's (case × key) grid on
-/// the bind-time specialized backend must be bit-identical to the
-/// 1-worker tape grid — same stats, same errors, correct key and wrong
-/// keys alike. Returns a human-readable summary.
-///
-/// # Panics
-///
-/// Panics when the specialized grid diverges from the tape — a lowering
-/// bug (folded constant, elided arm, hazard routing) or a stateful
-/// runner.
-pub fn spec_smoke() -> String {
-    let b = benchmarks::by_name("sobel").expect("suite kernel");
-    let lk = locking_key(0x51ec);
-    let m = b.compile().expect("kernel compiles");
-    let d = tao::lock(&m, b.top, &lk, &TaoOptions::default()).expect("lock succeeds");
-    let wk = d.working_key(&lk);
-    let cases: Vec<TestCase> = (0..2u64).map(|s| test_case(&b, &d, 60 + s)).collect();
-    let mut keys = vec![wk];
-    for i in 0..6u64 {
-        keys.push(d.working_key(&locking_key(0x77b ^ (i + 1))));
-    }
-    let ctape = CompiledFsmd::compile(&d.fsmd);
-    let spec = SpecFsmd::from_compiled(ctape.clone());
-    let budget = SimOptions { max_cycles: 2_000_000, snapshot_on_timeout: true };
-
-    let seq = GridExec::sequential().grid(&ctape, &cases, &keys, &budget);
-    let workers = GridExec::default().workers_for(keys.len() * cases.len()).max(2);
-    let t0 = Instant::now();
-    let sg = GridExec::new(workers).grid(&spec, &cases, &keys, &budget);
-    let secs = t0.elapsed().as_secs_f64();
-    assert_eq!(sg, seq, "specialized grid diverged from the sequential tape grid");
-    let cycles: u64 = sg.iter().flatten().map(|r| r.as_ref().expect("snapshot mode").cycles).sum();
-    format!(
-        "spec-smoke: {} trials ({} cases x {} keys) on {} workers, {} cycles, {:.1}M cycles/s, \
-         specialized backend bit-identical to sequential tape",
-        cases.len() * keys.len(),
-        cases.len(),
-        keys.len(),
-        workers,
-        cycles,
-        cycles as f64 / secs / 1e6,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -448,7 +329,6 @@ mod tests {
             cycles: 100,
             fsmd_tree_cps: 1.0e6,
             fsmd_tape_cps: 3.0e6,
-            spec_cps: 6.0e6,
             vlog_tree_cps: 1.0e6,
             vlog_tape_cps: 10.0e6,
             grid_cps,
@@ -465,19 +345,6 @@ mod tests {
         let err = check_floor(&rows, 20.0).unwrap_err();
         assert!(err[0].contains("only 10.00x"), "{err:?}");
         assert!(render_sim_bench(&rows).contains("10.0x"));
-    }
-
-    #[test]
-    fn spec_floor_gates_the_specialization_ratio() {
-        // 2x over the tape: passes the 1.5x floor, fails a 3x floor.
-        let rows = vec![row("k", 9.0e6, 4)];
-        assert!(check_spec_floor(&rows, SPEC_FLOOR).is_ok());
-        assert!(check_spec_floor(&rows, 3.0).is_err());
-        // A de-specialized backend (slower than the tape) always fails.
-        let mut slow = rows.clone();
-        slow[0].spec_cps = 2.0e6;
-        let err = check_spec_floor(&slow, SPEC_FLOOR).unwrap_err();
-        assert!(err[0].contains("only 0.67x"), "{err:?}");
     }
 
     #[test]

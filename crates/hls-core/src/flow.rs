@@ -41,11 +41,6 @@ impl HlsOptions {
     pub fn with_unroll(self, unroll_factor: u32) -> HlsOptions {
         HlsOptions { unroll_factor, ..self }
     }
-
-    /// Returns `self` with the clock target replaced (sweep helper).
-    pub fn with_clock_period(self, clock_period_ns: f64) -> HlsOptions {
-        HlsOptions { clock_period_ns, ..self }
-    }
 }
 
 /// Errors from the HLS flow.

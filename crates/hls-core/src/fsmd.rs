@@ -135,19 +135,6 @@ pub struct MicroOp {
     pub alts: Vec<OpAlt>,
 }
 
-impl MicroOp {
-    /// The single baseline alternative.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the micro-op has been variant-obfuscated (more than one
-    /// alternative).
-    pub fn only_alt(&self) -> &OpAlt {
-        assert_eq!(self.alts.len(), 1, "micro-op has variants");
-        &self.alts[0]
-    }
-}
-
 /// State transition logic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NextState {

@@ -227,16 +227,6 @@ impl Allocation {
         ]
     }
 
-    /// Returns `self` with the multiplier budget replaced.
-    pub fn with_mul(self, mul: u32) -> Allocation {
-        Allocation { mul, ..self }
-    }
-
-    /// Returns `self` with the adder/subtractor budget replaced.
-    pub fn with_add_sub(self, add_sub: u32) -> Allocation {
-        Allocation { add_sub, ..self }
-    }
-
     /// Instance budget for `kind` (`u32::MAX` for unlimited kinds, 1 for
     /// memory ports — single-ported RAMs).
     pub fn count(&self, kind: FuKind) -> u32 {

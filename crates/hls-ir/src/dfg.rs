@@ -153,12 +153,6 @@ impl Dfg {
         self.edges.iter().filter(move |e| e.from == node).map(|e| e.to)
     }
 
-    /// A topological order of the nodes (program order is always valid
-    /// because edges only point forward).
-    pub fn topo_order(&self) -> Vec<NodeIdx> {
-        (0..self.num_nodes).collect()
-    }
-
     /// Longest path length (in nodes) — the dependence-depth lower bound on
     /// schedule latency for single-cycle operations.
     pub fn critical_path_len(&self) -> usize {

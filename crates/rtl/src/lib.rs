@@ -29,7 +29,6 @@
 
 pub mod area;
 pub mod sim;
-pub mod spec;
 pub mod tape;
 pub mod testbench;
 pub mod timing;
@@ -37,8 +36,7 @@ pub mod vcd;
 
 pub use area::{area, AreaReport, PortStats};
 pub use sim::{simulate, SimError, SimOptions, SimResult, SimStats};
-pub use spec::{SpecFsmd, SpecRunner};
-pub use tape::{CompiledFsmd, FsmdRunner};
+pub use tape::{CompiledFsmd, FsmdRunner, SpecFsmd};
 pub use testbench::{
     count_matches, golden_outputs, images_equal, rtl_outputs, OutputImage, TestCase,
 };

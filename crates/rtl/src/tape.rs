@@ -45,7 +45,7 @@ use std::collections::BTreeMap;
 /// Operand source with the constant index pre-resolved into the runner's
 /// decrypted-constant table.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum TSrc {
+enum TSrc {
     Reg(u32),
     Const(u32),
     None,
@@ -53,52 +53,52 @@ pub(crate) enum TSrc {
 
 /// One flattened micro-operation (one alternative of one FSMD micro-op).
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct TOp {
-    pub(crate) op: FuOp,
-    pub(crate) ty: Type,
+struct TOp {
+    op: FuOp,
+    ty: Type,
     /// Destination register (`u32::MAX` = discarded result / store).
-    pub(crate) dst: u32,
-    pub(crate) a: TSrc,
-    pub(crate) b: TSrc,
-    pub(crate) latency: u8,
+    dst: u32,
+    a: TSrc,
+    b: TSrc,
+    latency: u8,
 }
 
 /// Next-state logic with compile-time structure (key bit resolved at
 /// bind time into [`FsmdRunner::branch_xor`]).
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum TNext {
+enum TNext {
     Goto(u32),
     Branch { test: u32, then_s: u32, else_s: u32 },
     Done,
 }
 
 #[derive(Debug, Clone)]
-pub(crate) struct TState {
+struct TState {
     /// First entry in [`CompiledFsmd::variants`] for this state.
-    pub(crate) var_base: u32,
+    var_base: u32,
     /// Number of variant slices (1 for unobfuscated states).
-    pub(crate) n_variants: u32,
-    pub(crate) variant_key: Option<KeyRange>,
-    pub(crate) branch_key_bit: Option<u32>,
-    pub(crate) next: TNext,
+    n_variants: u32,
+    variant_key: Option<KeyRange>,
+    branch_key_bit: Option<u32>,
+    next: TNext,
 }
 
 #[derive(Debug, Clone)]
-pub(crate) struct TMem {
-    pub(crate) name: String,
-    pub(crate) elem_ty: Type,
-    pub(crate) len: usize,
-    pub(crate) init: Option<Vec<u64>>,
-    pub(crate) external: bool,
-    pub(crate) written: bool,
+struct TMem {
+    name: String,
+    elem_ty: Type,
+    len: usize,
+    init: Option<Vec<u64>>,
+    external: bool,
+    written: bool,
 }
 
 /// Constant-store entry with the decryption recipe resolved.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct TConst {
-    pub(crate) bits: u64,
-    pub(crate) key_xor: Option<KeyRange>,
-    pub(crate) mask: u64,
+struct TConst {
+    bits: u64,
+    key_xor: Option<KeyRange>,
+    mask: u64,
 }
 
 /// A compiled FSMD: the design flattened into an op arena with one
@@ -107,19 +107,19 @@ pub(crate) struct TConst {
 /// (or the one-shot [`CompiledFsmd::simulate`]).
 #[derive(Debug, Clone)]
 pub struct CompiledFsmd {
-    pub(crate) states: Vec<TState>,
+    states: Vec<TState>,
     /// `(start, len)` slices into `ops`, indexed via `TState::var_base`.
-    pub(crate) variants: Vec<(u32, u32)>,
-    pub(crate) ops: Vec<TOp>,
-    pub(crate) consts: Vec<TConst>,
-    pub(crate) mems: Vec<TMem>,
-    pub(crate) mem_of_array: BTreeMap<ArrayId, u32>,
-    pub(crate) entry: u32,
-    pub(crate) params: Vec<u32>,
-    pub(crate) ret_reg: Option<u32>,
-    pub(crate) ret_ty: Option<Type>,
-    pub(crate) reg_masks: Vec<u64>,
-    pub(crate) key_width: u32,
+    variants: Vec<(u32, u32)>,
+    ops: Vec<TOp>,
+    consts: Vec<TConst>,
+    mems: Vec<TMem>,
+    mem_of_array: BTreeMap<ArrayId, u32>,
+    entry: u32,
+    params: Vec<u32>,
+    ret_reg: Option<u32>,
+    ret_ty: Option<Type>,
+    reg_masks: Vec<u64>,
+    key_width: u32,
 }
 
 impl CompiledFsmd {
@@ -286,6 +286,27 @@ impl sim_core::Simulator for CompiledFsmd {
 
     fn new_runner(&self) -> FsmdRunner<'_> {
         self.runner()
+    }
+}
+
+/// A [`CompiledFsmd`] under the name the `perfbench/` harness runs it by.
+///
+/// The harness builds one with [`SpecFsmd::from_compiled`] and runs
+/// [`SpecFsmd::runner`], which is the tape's own [`FsmdRunner`]. The type
+/// exists only for the benchmark, until its next change calls
+/// [`CompiledFsmd`] directly; other code should use [`CompiledFsmd`].
+#[derive(Debug)]
+pub struct SpecFsmd(CompiledFsmd);
+
+impl SpecFsmd {
+    /// Wraps a compiled design.
+    pub fn from_compiled(c: CompiledFsmd) -> SpecFsmd {
+        SpecFsmd(c)
+    }
+
+    /// The wrapped design's [`CompiledFsmd::runner`].
+    pub fn runner(&self) -> FsmdRunner<'_> {
+        self.0.runner()
     }
 }
 

@@ -119,11 +119,6 @@ impl KeySize {
             KeySize::Aes256 => 14,
         }
     }
-
-    /// Key length in bytes.
-    pub fn key_len(self) -> usize {
-        self.nk() * 4
-    }
 }
 
 /// An expanded AES key ready to encrypt/decrypt 16-byte blocks.

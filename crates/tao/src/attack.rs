@@ -54,12 +54,6 @@ impl KeySpace {
         self.constant_bits + self.branch_bits + self.variant_bits
     }
 
-    /// log2 of the brute-force search space (= total bits; spelled out for
-    /// report readability).
-    pub fn log2_search_space(&self) -> u64 {
-        self.total_bits()
-    }
-
     /// Whether exhaustive search is feasible at a given budget of tries
     /// (an attacker with an oracle and `budget_log2` simulations).
     pub fn brute_force_feasible(&self, budget_log2: u32) -> bool {

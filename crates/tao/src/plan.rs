@@ -45,32 +45,9 @@ impl PlanConfig {
         PlanConfig { constants, branches, dfg_variants, ..PlanConfig::default() }
     }
 
-    /// Returns `self` with the constant width `C` replaced.
-    pub fn with_const_width(self, const_width: u32) -> PlanConfig {
-        PlanConfig { const_width, ..self }
-    }
-
     /// Returns `self` with the per-block key budget `B_i` replaced.
     pub fn with_bits_per_block(self, bits_per_block: u32) -> PlanConfig {
         PlanConfig { bits_per_block, ..self }
-    }
-
-    /// Enumerates the seven non-empty technique combinations — the lattice
-    /// a per-technique sweep (paper Fig. 6) walks. Order is deterministic:
-    /// single techniques first, then pairs, then the full combination.
-    pub fn enumerate_techniques() -> Vec<PlanConfig> {
-        [
-            (true, false, false),
-            (false, true, false),
-            (false, false, true),
-            (true, true, false),
-            (true, false, true),
-            (false, true, true),
-            (true, true, true),
-        ]
-        .into_iter()
-        .map(|(c, b, v)| PlanConfig::techniques(c, b, v))
-        .collect()
     }
 
     /// Short label for reports: one letter per enabled technique

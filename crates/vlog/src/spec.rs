@@ -4,8 +4,8 @@
 //! — nets whose transitive dependencies are only run-stable inputs (the
 //! working key and the argument ports) — and evaluates them once per
 //! run instead of once per cycle. This module carries that one step
-//! further, to the same bind-time contract as `rtl::spec`: the
-//! **key-only** subset of those wires (no argument-port reads) is a
+//! further, to a per-key binding like the one `rtl::FsmdRunner` makes:
+//! the **key-only** subset of those wires (no argument-port reads) is a
 //! pure function of the working key, so its values are stable across
 //! *runs*, not just across cycles. [`crate::TapeRunner`] therefore
 //! keeps a [`KeyConstCache`]: the first run under a key evaluates the

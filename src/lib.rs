@@ -87,16 +87,6 @@
 //! [`rtl::FsmdRunner::run_case`] / [`vlog::TapeRunner::run_case`] (or
 //! a [`sim_core::GridExec::grid`] over the compiled design) per trial.
 //!
-//! A third FSMD backend, [`rtl::SpecFsmd`], goes one step further:
-//! when a key is bound it *re-lowers* the tape into threaded code
-//! specialized to that key — decrypting obfuscated constants once,
-//! deleting the DFG-variant arms the key never takes, folding and
-//! propagating what the bound constants make static, and fusing the
-//! remainder into pre-resolved function-pointer handlers. Work that
-//! never happens under the bound key is simply not simulated. The
-//! runner rebinds automatically when the key changes, so it drops into
-//! any (case × key) sweep unchanged.
-//!
 //! ```
 //! use tao_repro::hls_core::{self, KeyBits};
 //! use tao_repro::rtl::{CompiledFsmd, SimOptions};
@@ -116,23 +106,28 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! Bind-and-run on the specialized backend — same results, fewer ops
-//! executed per cycle on locked designs:
+//! The cycle budget binds the tape as it binds the tree interpreter: a
+//! run that outlives `max_cycles` fails with the same
+//! [`rtl::SimError::CycleLimit`], or, under `snapshot_on_timeout`,
+//! returns the same register and memory snapshot:
 //!
 //! ```
 //! use tao_repro::hls_core::{self, KeyBits};
-//! use tao_repro::rtl::{CompiledFsmd, SimOptions, SpecFsmd};
+//! use tao_repro::rtl::{CompiledFsmd, SimError, SimOptions};
 //!
-//! let m = tao_repro::hls_frontend::compile("int sq(int x) { return x * x; }", "d")?;
-//! let fsmd = hls_core::synthesize(&m, "sq", &hls_core::HlsOptions::default())?;
+//! let src = "int sum(int n) { int s = 0; for (int i = 0; i < n; i++) s = s + i; return s; }";
+//! let m = tao_repro::hls_frontend::compile(src, "d")?;
+//! let fsmd = hls_core::synthesize(&m, "sum", &hls_core::HlsOptions::default())?;
 //! let ctape = CompiledFsmd::compile(&fsmd);
-//! let spec = SpecFsmd::from_compiled(ctape.clone()); // or SpecFsmd::compile(&fsmd)
-//! let mut srun = spec.runner(); // binds lazily; rebinds when the key changes
-//! let mut trun = ctape.runner();
-//! for x in [3u64, 9, 12] {
-//!     let s = srun.run(&[x], &KeyBits::zero(0), &[], &SimOptions::default())?;
-//!     assert_eq!(s, trun.run(&[x], &KeyBits::zero(0), &[], &SimOptions::default())?);
-//! }
+//! let k = KeyBits::zero(0);
+//! let tight = SimOptions { max_cycles: 20, snapshot_on_timeout: false };
+//! assert_eq!(ctape.simulate(&[1000], &k, &[], &tight), Err(SimError::CycleLimit));
+//! assert_eq!(tao_repro::rtl::simulate(&fsmd, &[1000], &k, &[], &tight), Err(SimError::CycleLimit));
+//! let snap = SimOptions { snapshot_on_timeout: true, ..tight };
+//! let s = ctape.simulate(&[1000], &k, &[], &snap)?;
+//! assert!(s.timed_out);
+//! assert_eq!(s.cycles, 20);
+//! assert_eq!(s, tao_repro::rtl::simulate(&fsmd, &[1000], &k, &[], &snap)?);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!

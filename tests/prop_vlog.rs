@@ -1,9 +1,8 @@
 //! Property-based differential testing of the emitted Verilog on randomly
-//! generated programs, across **all five simulator backends**: for every
+//! generated programs, across **all four simulator backends**: for every
 //! generated kernel, stimulus and key the FSMD tree walker
 //! (`rtl::simulate`), the FSMD compiled tape (`rtl::CompiledFsmd`), the
-//! bind-time specialized threaded code (`rtl::SpecFsmd`), the Verilog
-//! tree walker (`vlog::VlogSim`) and the Verilog compiled tape
+//! Verilog tree walker (`vlog::VlogSim`) and the Verilog compiled tape
 //! (`vlog::VlogTape`) must agree *exactly* — same `SimResult` (return
 //! value, cycle count, memories, registers, timeout flag), same error,
 //! including `CycleLimit` and snapshot-on-timeout behaviour — and under
@@ -21,7 +20,7 @@ mod common;
 use common::{gen_program, run_golden};
 use hls_core::{verilog, KeyBits};
 use proptest::prelude::*;
-use rtl::{simulate, CompiledFsmd, SimError, SimOptions, SimResult, SpecFsmd};
+use rtl::{simulate, CompiledFsmd, SimError, SimOptions, SimResult};
 use std::sync::OnceLock;
 use vlog::{VlogSim, VlogTape};
 
@@ -39,11 +38,10 @@ fn locking_key(seed: u64) -> KeyBits {
     })
 }
 
-/// The five backends of one design, compiled once per test case.
+/// The four backends of one design, compiled once per test case.
 struct Backends {
     fsmd: hls_core::Fsmd,
     ctape: CompiledFsmd,
-    spec: SpecFsmd,
     sim: VlogSim,
     vtape: VlogTape,
 }
@@ -55,11 +53,10 @@ impl Backends {
         let vtape = VlogTape::compile(&sim)
             .unwrap_or_else(|e| panic!("emitted text rejected by tape compiler: {e}\n{src}"));
         let ctape = CompiledFsmd::compile(&fsmd);
-        let spec = SpecFsmd::from_compiled(ctape.clone());
-        Backends { fsmd, ctape, spec, sim, vtape }
+        Backends { fsmd, ctape, sim, vtape }
     }
 
-    /// Runs all five backends and asserts exact pairwise agreement;
+    /// Runs all four backends and asserts exact pairwise agreement;
     /// returns the common outcome.
     fn run_all(
         &self,
@@ -70,11 +67,9 @@ impl Backends {
     ) -> Result<SimResult, SimError> {
         let r_tree = simulate(&self.fsmd, args, key, &[], opts);
         let r_tape = self.ctape.simulate(args, key, &[], opts);
-        let r_spec = self.spec.simulate(args, key, &[], opts);
         let v_tree = self.sim.simulate(args, key, &[], opts);
         let v_tape = self.vtape.simulate(args, key, &[], opts);
         assert_eq!(r_tree, r_tape, "fsmd tree vs fsmd tape diverged: {ctx}");
-        assert_eq!(r_tree, r_spec, "fsmd tree vs specialized diverged: {ctx}");
         assert_eq!(v_tree, v_tape, "vlog tree vs vlog tape diverged: {ctx}");
         match (&r_tree, &v_tree) {
             (Ok(rr), Ok(vr)) => assert_eq!(rr, vr, "fsmd vs vlog run diverged: {ctx}"),
@@ -165,12 +160,10 @@ proptest! {
         let opts = SimOptions { max_cycles: 20_000, snapshot_on_timeout: true };
 
         let mut frun = backends.ctape.runner();
-        let mut srun = backends.spec.runner();
         let mut vrun = backends.vtape.runner();
         for key in [&wk, &wrong, &wk] {
             for args in arg_sets() {
                 let f_batch = frun.run(&args, key, &[], &opts);
-                let s_batch = srun.run(&args, key, &[], &opts);
                 let v_batch = vrun.run(&args, key, &[], &opts);
                 let one_shot = backends.ctape.simulate(&args, key, &[], &opts);
                 match (&f_batch, &one_shot) {
@@ -183,15 +176,6 @@ proptest! {
                     }
                     (Err(fe), Err(oe)) => prop_assert_eq!(fe, oe),
                     (f, o) => panic!("batch vs one-shot diverged: {f:?} vs {o:?}"),
-                }
-                match (&f_batch, &s_batch) {
-                    (Ok(fs), Ok(ss)) => {
-                        prop_assert_eq!(fs, ss);
-                        prop_assert_eq!(frun.mems(), srun.mems());
-                        prop_assert_eq!(frun.regs(), srun.regs());
-                    }
-                    (Err(fe), Err(se)) => prop_assert_eq!(fe, se),
-                    (f, sx) => panic!("fsmd vs spec batch diverged: {f:?} vs {sx:?}"),
                 }
                 match (&f_batch, &v_batch) {
                     (Ok(fs), Ok(vs)) => {
@@ -211,13 +195,11 @@ proptest! {
         let module = hls_frontend::compile(&prog.source, "p").unwrap();
         let fsmd = hls_core::synthesize(&module, "f", &hls_core::HlsOptions::default()).unwrap();
         let backends = Backends::of(fsmd, &prog.source);
-        // Arity mismatch reported identically by all five backends.
+        // Arity mismatch reported identically by all four backends.
         let errs = [
             simulate(&backends.fsmd, &[1], &KeyBits::zero(0), &[], &SimOptions::default())
                 .unwrap_err(),
             backends.ctape.simulate(&[1], &KeyBits::zero(0), &[], &SimOptions::default())
-                .unwrap_err(),
-            backends.spec.simulate(&[1], &KeyBits::zero(0), &[], &SimOptions::default())
                 .unwrap_err(),
             backends.sim.simulate(&[1], &KeyBits::zero(0), &[], &SimOptions::default())
                 .unwrap_err(),
@@ -230,8 +212,6 @@ proptest! {
             simulate(&backends.fsmd, &[1, 2, 3], &KeyBits::zero(9), &[], &SimOptions::default())
                 .unwrap_err(),
             backends.ctape.simulate(&[1, 2, 3], &KeyBits::zero(9), &[], &SimOptions::default())
-                .unwrap_err(),
-            backends.spec.simulate(&[1, 2, 3], &KeyBits::zero(9), &[], &SimOptions::default())
                 .unwrap_err(),
             backends.sim.simulate(&[1, 2, 3], &KeyBits::zero(9), &[], &SimOptions::default())
                 .unwrap_err(),
