@@ -1,9 +1,10 @@
 //! The chaos smoke: one deterministic fault-injection pass over every
-//! long-running loop in the workspace — grid sweeps, the CDCL solver,
-//! the DIP attack and the DSE engine — asserting the degradation
-//! guarantees the `sim_core::ctrl` control plane promises: a panicking
-//! trial injures only its own slot, a cancelled sweep drains to a
-//! consistent partial result, and the process never aborts.
+//! long-running loop in the workspace — grid sweeps, differential
+//! verification, the CDCL solver, the DIP attack and the DSE engine —
+//! asserting the degradation guarantees the `sim_core::ctrl` control
+//! plane promises: a panicking trial injures only its own slot, a
+//! cancelled sweep drains to a consistent partial result, and the
+//! process never aborts.
 //!
 //! Every fault is injected by logical coordinate through a seeded
 //! [`FaultPlan`] armed on the governing [`Budget`], so the same work item
@@ -16,7 +17,7 @@ use rtl::{CompiledFsmd, SimOptions, TestCase};
 use sim_core::faultpoint::sites;
 use sim_core::{Budget, FaultPlan, GridExec, SimError};
 use std::time::Duration;
-use tao::{ExhaustCause, SatAttackConfig, SatAttackStatus, TaoOptions};
+use tao::{DifferentialReport, ExhaustCause, SatAttackConfig, SatAttackStatus, TaoOptions};
 
 const KERNEL: &str = r#"
     int mix(int a, int b) {
@@ -99,6 +100,55 @@ pub fn chaos_smoke() -> String {
          tail reported Cancelled"
     ));
 
+    // --- differential verification: one injured pair, one drained sweep -
+    let trials = tao::standard_trials(&d, &lk, 5, 0xC4A05);
+    let pairs = n_cases * trials.len();
+    let verify = |exec: &GridExec| {
+        tao::verify::differential_verify_on(&d, &cases, &trials, &opts, exec)
+            .expect("emitted text parses")
+    };
+    let fault_free = verify(&GridExec::sequential());
+    // Coordinate 1 names (case 1, trial 0) in both fan-outs: a correct-key
+    // pair, which adds nothing to the report but its comparison.
+    let injured = DifferentialReport {
+        comparisons: fault_free.comparisons - 1,
+        panics: 1,
+        panic_labels: vec!["correct/case-1".into()],
+        ..fault_free.clone()
+    };
+    for workers in [1usize, 2, 5] {
+        let budget =
+            Budget::unlimited().with_faults(FaultPlan::new().panic_at(sites::GRID_TRIAL, 1));
+        let got = verify(&GridExec::new(workers).with_budget(budget));
+        assert_eq!(got, injured, "workers={workers}: the injured pair must be the only change");
+    }
+    lines.push(format!(
+        "differential-panic: pair 1/{pairs} (correct/case-1) injured at workers 1/2/5, \
+         every other count equal to fault-free"
+    ));
+
+    let mut drained = None;
+    for workers in [1usize, 2, 5] {
+        let budget =
+            Budget::unlimited().with_faults(FaultPlan::new().cancel_at(sites::GRID_TRIAL, 4));
+        let got = verify(&GridExec::new(workers).with_budget(budget));
+        assert!(got.was_cancelled && !got.is_clean(), "workers={workers}: {got}");
+        assert_eq!(
+            (got.comparisons + got.skipped, got.panics),
+            (pairs, 0),
+            "workers={workers}: every pair is compared or skipped"
+        );
+        // The cancel fires in the first fan-out, and the second starts no
+        // pair after it, so the split is the same at every worker count.
+        let split = (got.comparisons, got.skipped);
+        assert_eq!(*drained.get_or_insert(split), split, "workers={workers}");
+    }
+    let (compared, skipped) = drained.unwrap_or_default();
+    lines.push(format!(
+        "differential-cancel: cancel at pair 4/{pairs} drained to {compared} compared + \
+         {skipped} skipped at workers 1/2/5, report unclean"
+    ));
+
     // --- attack: expired deadline / step budget / mid-run cancel --------
     let att = |cfg: &SatAttackConfig| {
         tao::sat_attack_design(&d, &wk, &[TestCase::args(&[5, 2])], cfg)
@@ -174,6 +224,8 @@ mod tests {
         let summary = chaos_smoke();
         assert!(summary.contains("all degradation guarantees held"));
         assert!(summary.contains("grid-panic"));
+        assert!(summary.contains("differential-panic"));
+        assert!(summary.contains("differential-cancel"));
         assert!(summary.contains("dse-cancel"));
     }
 }

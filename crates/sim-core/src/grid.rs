@@ -12,16 +12,22 @@
 //! Trials are ordered **key-major** (`trial = key_idx * n_cases +
 //! case_idx`): consecutive steals by one worker tend to share a key, so
 //! the runner's per-key binding (decrypted constants, selected variant
-//! slices, cached dispatches) is amortized exactly as in a sequential
-//! loop.
+//! slices, cached dispatches) is mostly reused. [`GridExec::grid`]
+//! steals all cases of one key at once and binds each key exactly once
+//! globally; a sweep whose trials differ widely in cost steals one
+//! trial at a time instead, so no worker is left holding the last long
+//! chunk.
 //!
-//! One worker body serves every entry point. [`GridExec::run_cells`]
-//! returns one [`TrialCell`] per slot; [`GridExec::run`] is the same
-//! fan-out, one trial per steal, that re-raises the first trial panic
-//! after every slot has run; [`GridExec::grid`] is the (case × key)
-//! grid of a [`Simulator`] on it. The telemetry and progress hooks sit
-//! inline in that body: on a disabled handle each is one branch and
-//! reads no clock.
+//! One worker body serves every entry point, and the calling thread is
+//! worker 0 of every fan-out: it spawns `workers − 1` threads, runs the
+//! optional lead job of [`GridExec::run_cells_with_lead`] while they
+//! steal, then steals too. [`GridExec::run_cells`] returns one
+//! [`TrialCell`] per slot; [`GridExec::run`] is the same fan-out, one
+//! trial per steal, that re-raises the first trial panic after every
+//! slot has run; [`GridExec::grid`] is the (case × key) grid of a
+//! [`Simulator`] on it. The telemetry and progress hooks sit inline in
+//! that body: on a disabled handle each is one branch and reads no
+//! clock.
 //!
 //! ## Robustness
 //!
@@ -47,6 +53,7 @@ use hls_core::KeyBits;
 use obs::{Obs, ProgressTracker};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// The outcome of one grid trial under the panic-isolated, budgeted
 /// executor: the value, a caught panic, or never-reached.
@@ -74,6 +81,13 @@ impl<T> TrialCell<T> {
             _ => None,
         }
     }
+}
+
+/// The host's core count, resolved once per process:
+/// `available_parallelism` reads the cgroup quota files on every call.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
 }
 
 /// Stringifies a caught panic payload (`String` and `&str` payloads kept
@@ -217,11 +231,7 @@ impl GridExec {
     /// Resolves the worker count for `n` work items: the requested thread
     /// count (or the core count when 0), capped at `n`.
     pub fn workers_for(&self, n: usize) -> usize {
-        let t = if self.threads == 0 {
-            std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
-        } else {
-            self.threads
-        };
+        let t = if self.threads == 0 { cores() } else { self.threads };
         t.min(n.max(1))
     }
 
@@ -263,14 +273,15 @@ impl GridExec {
     /// - `make_ctx` runs at most once per worker **on that worker's
     ///   thread** (again after a trial panic), so the context (a tape
     ///   runner, a scratch key buffer) never crosses threads and needs
-    ///   neither `Send` nor `Sync`. With one worker the loop runs on the
-    ///   calling thread.
+    ///   neither `Send` nor `Sync`. The calling thread is worker 0; with
+    ///   one worker no thread is spawned.
     /// - The shared cursor advances `chunk` trials per steal, and a
     ///   worker evaluates the whole chunk before stealing again. For
     ///   (case × key) grids with key-major trial order, `chunk = n_cases`
     ///   means **all cases of one key land on one worker** — the per-key
     ///   runner binding happens exactly once globally, and
-    ///   sub-millisecond trials stop hammering the cursor.
+    ///   sub-millisecond trials stop hammering the cursor. Trials of
+    ///   widely different cost balance better at `chunk = 1`.
     /// - A panicking trial yields [`TrialCell::Panicked`] in its own
     ///   slot; the worker re-mints its context and keeps going, so the
     ///   rest of the chunk (and sweep) still completes.
@@ -297,8 +308,37 @@ impl GridExec {
         M: Fn() -> C + Sync,
         F: Fn(&mut C, usize) -> T + Sync,
     {
+        self.run_cells_with_lead(n, chunk, || (), make_ctx, f).1
+    }
+
+    /// [`GridExec::run_cells`] with a lead job: the calling thread runs
+    /// `lead` before it starts stealing, while the other workers already
+    /// steal trials, and its value comes back with the cells. The lead
+    /// is not a trial: it has no slot, no [`TrialCell`] and no
+    /// [`faultpoint::sites::GRID_TRIAL`] coordinate, it is not timed as
+    /// worker busy time, and its allocations stay in the calling
+    /// thread's heap. With one worker it simply runs first.
+    ///
+    /// # Panics
+    ///
+    /// As [`GridExec::run_cells`]; a panic in `lead` propagates to the
+    /// caller once the other workers have drained.
+    pub fn run_cells_with_lead<L, C, T, G, M, F>(
+        &self,
+        n: usize,
+        chunk: usize,
+        lead: G,
+        make_ctx: M,
+        f: F,
+    ) -> (L, Vec<TrialCell<T>>)
+    where
+        T: Send,
+        G: FnOnce() -> L,
+        M: Fn() -> C + Sync,
+        F: Fn(&mut C, usize) -> T + Sync,
+    {
         if n == 0 {
-            return Vec::new();
+            return (lead(), Vec::new());
         }
         assert!(chunk > 0, "chunk size must be positive");
         let n_chunks = n.div_ceil(chunk);
@@ -348,16 +388,16 @@ impl GridExec {
             wspan.arg("idle_ns", obs.now_ns().saturating_sub(start).saturating_sub(busy));
             local
         };
-        let locals: Vec<Vec<(usize, TrialCell<T>)>> = if workers <= 1 {
-            vec![worker()]
-        } else {
+        let (led, locals) = std::thread::scope(|scope| {
+            let others: Vec<_> = (1..workers).map(|_| scope.spawn(worker)).collect();
+            let led = lead();
+            let mut locals = vec![worker()];
             // Trial panics are caught inside the worker, so a failed join
             // is a bug in the executor itself: re-raise its own payload.
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
-                handles.into_iter().map(|h| h.join().unwrap_or_else(|p| resume_unwind(p))).collect()
-            })
-        };
+            locals
+                .extend(others.into_iter().map(|h| h.join().unwrap_or_else(|p| resume_unwind(p))));
+            (led, locals)
+        });
 
         let mut out: Vec<TrialCell<T>> = Vec::with_capacity(n);
         out.resize_with(n, || TrialCell::Skipped);
@@ -382,7 +422,7 @@ impl GridExec {
         }
         run_span.arg("panics", n_panics as u64);
         run_span.arg("skipped", n_skipped as u64);
-        out
+        (led, out)
     }
 
     /// Runs the full (case × key) grid on `sim`, one minted runner per
@@ -653,6 +693,42 @@ mod tests {
         assert_eq!(GridExec::new(2).workers_for(100), 2);
         assert!(GridExec::default().workers_for(100) >= 1);
         assert_eq!(GridExec::new(4).workers_for(0), 1);
+    }
+
+    #[test]
+    fn the_caller_is_worker_zero_and_leads_before_it_steals() {
+        let caller = std::thread::current().id();
+        assert_eq!(GridExec::new(3).run_cells_with_lead(0, 1, || 7, || (), |_, i| i), (7, vec![]));
+        for threads in [1, 2, 5] {
+            let led = std::sync::atomic::AtomicBool::new(false);
+            let (lead_thread, cells) = GridExec::new(threads).run_cells_with_lead(
+                40,
+                1,
+                || {
+                    led.store(true, Ordering::Relaxed);
+                    std::thread::current().id()
+                },
+                || std::thread::current().id(),
+                |owner, i| {
+                    assert_eq!(
+                        *owner,
+                        std::thread::current().id(),
+                        "a context stays on its thread"
+                    );
+                    assert!(
+                        *owner != caller || led.load(Ordering::Relaxed),
+                        "stole before leading"
+                    );
+                    (i, *owner)
+                },
+            );
+            assert_eq!(lead_thread, caller, "threads={threads}");
+            let done: Vec<_> = cells.iter().map(|c| *c.as_done().unwrap()).collect();
+            assert!(done.iter().enumerate().all(|(i, d)| d.0 == i), "threads={threads}");
+            let spawned: std::collections::HashSet<_> =
+                done.iter().map(|d| d.1).filter(|&t| t != caller).collect();
+            assert!(spawned.len() < threads, "threads={threads}: {} spawned", spawned.len());
+        }
     }
 
     #[test]

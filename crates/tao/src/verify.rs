@@ -30,11 +30,12 @@
 //! report unclean.
 
 use crate::flow::LockedDesign;
-use hls_core::{verilog, KeyBits};
+use hls_core::{verilog, Fsmd, KeyBits};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rtl::{
-    golden_outputs, images_equal, CompiledFsmd, OutputImage, SimError, SimOptions, TestCase,
+    golden_outputs, images_equal, CompiledFsmd, OutputImage, SimError, SimOptions, SimStats,
+    TestCase,
 };
 use sim_core::{GridExec, TrialCell};
 use std::fmt;
@@ -79,7 +80,7 @@ pub fn standard_trials(
 }
 
 /// Outcome of a differential run.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DifferentialReport {
     /// Design name.
     pub design: String,
@@ -109,8 +110,8 @@ pub struct DifferentialReport {
     pub rejected: Vec<String>,
     /// Mean output-corruptibility Hamming fraction over wrong-key runs.
     pub avg_wrong_hd: f64,
-    /// `(trial, case)` pairs skipped because the executor's budget ran
-    /// out before they were stolen.
+    /// `(trial, case)` pairs left uncompared because the executor's
+    /// budget ran out before both of their halves ran.
     pub skipped: usize,
     /// `(trial, case)` pairs whose worker body panicked; each carries its
     /// own label in [`DifferentialReport::panic_labels`].
@@ -163,6 +164,20 @@ impl fmt::Display for DifferentialReport {
     }
 }
 
+/// The FSMD half of one `(case, trial)` pair, kept from the first
+/// fan-out for the second: the full state the Verilog half must
+/// reproduce, or the error the run ended with.
+type FsmdHalf = Result<FsmdState, SimError>;
+
+/// Everything the full-state comparison reads from a terminated FSMD
+/// run.
+struct FsmdState {
+    stats: SimStats,
+    regs: Vec<u64>,
+    mems: Vec<Vec<u64>>,
+    image: OutputImage,
+}
+
 /// One (case, trial) comparison's outcome, produced on a worker thread
 /// and folded into the [`DifferentialReport`] in deterministic trial
 /// order.
@@ -175,17 +190,17 @@ struct TrialOutcome {
     /// The error both layers rejected the run with, when it is not
     /// `CycleLimit`.
     rejected: Option<SimError>,
-    /// The FSMD output image when both layers terminated.
-    image: Option<OutputImage>,
+    /// Both layers terminated, so the FSMD output image is the pair's
+    /// output.
+    terminated: bool,
 }
 
 /// Runs the three-way differential testbench: every trial key over every
 /// test case, on the FSMD simulator and on the emitted Verilog text, with
 /// the IR interpreter as golden reference for correct-key trials.
 ///
-/// The (case × trial) grid is sharded over [`GridExec::default`] with
-/// one pair of tape runners per worker; the report is bit-identical for
-/// every worker count.
+/// The (case × trial) grid is sharded over [`GridExec::default`]; the
+/// report is bit-identical for every worker count.
 ///
 /// # Errors
 ///
@@ -207,14 +222,36 @@ pub fn differential_verify(
 
 /// [`differential_verify`] on an explicit executor (worker count of the
 /// caller's choosing; results are identical for every value), under the
-/// executor's budget. A cancelled or expired sweep drains at chunk
-/// granularity and folds only the comparisons that completed, and a
-/// panicking trial injures only its own `(case, trial)` pair instead of
-/// the whole testbench; both leave the report unclean.
+/// executor's budget.
+///
+/// The sweep is two fan-outs on `exec`, each taking one `(case, trial)`
+/// pair per steal in key-major order, so pair `(c, t)` is slot and
+/// [`GRID_TRIAL`](sim_core::faultpoint::sites::GRID_TRIAL) coordinate
+/// `t * cases.len() + c` in both:
+///
+/// 1. the FSMD tape runs every pair and keeps its outcome and full state,
+///    while the calling thread emits and elaborates the Verilog text and
+///    runs the golden interpreter as the fan-out's lead job;
+/// 2. the Verilog tape runs every pair whose FSMD half completed and
+///    compares it with the kept state.
+///
+/// A panicking pair — in either fan-out — injures only itself: it is
+/// listed in [`DifferentialReport::panic_labels`] instead of being
+/// folded. A fault planted at a pair's coordinate fires in both
+/// fan-outs. A cancelled or expired budget drains the sweep, and only
+/// pairs whose two halves both ran are folded: the second fan-out starts
+/// no pair once the budget is exceeded, so a budget exhausted during the
+/// first leaves every pair that did not panic skipped. Both leave the
+/// report unclean.
 ///
 /// # Errors
 ///
-/// Returns [`VlogError`] when the emitted text fails to parse.
+/// Returns [`VlogError`] when the emitted text fails to parse (after the
+/// FSMD halves have run).
+///
+/// # Panics
+///
+/// As [`differential_verify`].
 pub fn differential_verify_on(
     design: &LockedDesign,
     cases: &[TestCase],
@@ -222,132 +259,158 @@ pub fn differential_verify_on(
     opts: &SimOptions,
     exec: &GridExec,
 ) -> Result<DifferentialReport, VlogError> {
-    let text = verilog::emit(&design.fsmd);
-    // Both RTL layers run on their compiled tape backends: elaborate and
-    // flatten once; every worker then mints one runner pair and reuses
-    // its buffers across the (case, trial) pairs it steals.
-    let vtape = VlogTape::new(&text)?;
-    let ctape = CompiledFsmd::compile(&design.fsmd);
-    let goldens: Vec<OutputImage> =
-        cases.iter().map(|case| golden_outputs(&design.module, &design.top, case)).collect();
+    verify_emitted(design, &design.fsmd, cases, trials, opts, exec)
+}
 
-    // Execution order is key-major (trial index outer) and stealing is
-    // key-chunked — one steal takes all cases of one trial key, so each
-    // key is bound exactly once globally; the fold below re-reads the
-    // outcomes in the report's case-major order.
+/// [`differential_verify_on`] with the Verilog text emitted from
+/// `emitted` rather than from `design.fsmd`, so that a test can plant an
+/// emitter bug that the FSMD model does not share.
+fn verify_emitted(
+    design: &LockedDesign,
+    emitted: &Fsmd,
+    cases: &[TestCase],
+    trials: &[KeyTrial],
+    opts: &SimOptions,
+    exec: &GridExec,
+) -> Result<DifferentialReport, VlogError> {
+    // Both RTL layers run on their compiled tape backends: each is built
+    // once, and every worker mints one runner per fan-out and reuses its
+    // buffers across the pairs it steals. One pair per steal balances
+    // pairs whose cost ranges from a loop proven at once to a whole
+    // budget; key-major order keeps most consecutive steals on one key.
+    let ctape = CompiledFsmd::compile(&design.fsmd);
     let n_cases = cases.len();
-    let n_trials = trials.len();
-    let cells = exec.run_cells(
-        n_cases * n_trials,
-        n_cases.max(1),
-        || (ctape.runner(), vtape.runner()),
-        |(frun, vrun), i| {
-            compare_pair(frun, vrun, &cases[i % n_cases], &trials[i / n_cases], opts, design)
+    let n = n_cases * trials.len();
+    let (front, fsmd) = exec.run_cells_with_lead(
+        n,
+        1,
+        || -> Result<_, VlogError> {
+            let vtape = VlogTape::new(&verilog::emit(emitted))?;
+            let goldens: Vec<OutputImage> = cases
+                .iter()
+                .map(|case| golden_outputs(&design.module, &design.top, case))
+                .collect();
+            Ok((vtape, goldens))
+        },
+        || ctape.runner(),
+        |frun, i| -> FsmdHalf {
+            let stats =
+                frun.run_case(&cases[i % n_cases], &trials[i / n_cases].working_key, opts)?;
+            Ok(FsmdState {
+                regs: frun.regs().to_vec(),
+                mems: frun.mems().to_vec(),
+                image: frun.image(&stats),
+                stats,
+            })
         },
     );
-    let mut report = fold_outcomes(design, cases, trials, &goldens, cells);
+    let (vtape, goldens) = front?;
+    let vlog = exec.run_cells(
+        n,
+        1,
+        || vtape.runner(),
+        |vrun, i| {
+            let TrialCell::Done(fsmd) = &fsmd[i] else { return None };
+            Some(compare_pair(fsmd, vrun, &cases[i % n_cases], &trials[i / n_cases], opts, design))
+        },
+    );
+    let mut report = fold_outcomes(design, cases, trials, &goldens, &fsmd, &vlog);
     report.was_cancelled = exec.budget().is_exceeded();
     Ok(report)
 }
 
-/// Runs one `(case, trial)` pair on both RTL layers and compares them.
+/// Runs one `(case, trial)` pair's Verilog half and compares it with the
+/// kept FSMD half.
 fn compare_pair(
-    frun: &mut rtl::FsmdRunner<'_>,
+    fsmd: &FsmdHalf,
     vrun: &mut vlog::TapeRunner<'_>,
     case: &TestCase,
     trial: &KeyTrial,
     opts: &SimOptions,
     design: &LockedDesign,
 ) -> TrialOutcome {
-    let r = frun.run_case(case, &trial.working_key, opts);
     let v = vrun.run_case(case, &trial.working_key, opts, &design.fsmd.mem_of_array);
-    match (&r, &v) {
-        (Ok(rr), Ok(vr)) => {
+    let diverged = |what: String| TrialOutcome {
+        mismatch: Some(format!("{}: {what}", trial.label)),
+        timed_out: false,
+        rejected: None,
+        terminated: false,
+    };
+    match (fsmd, &v) {
+        (Ok(f), Ok(vr)) => {
             // Full-state comparison, as the tree backends' `SimResult`
             // equality did: scalar outcome, every register, every memory
-            // image. The images are built once per trial (they clone the
-            // written external memories) and reused for the golden
-            // comparison.
-            let fi = frun.image(rr);
-            let mismatch = if rr != vr || frun.regs() != vrun.regs().as_slice() {
+            // image.
+            let mismatch = if f.stats != *vr || f.regs != vrun.regs() {
                 Some(format!(
                     "{}: state diverged (fsmd {} cycles ret {:?} vs vlog {} cycles ret {:?})",
-                    trial.label, rr.cycles, rr.ret, vr.cycles, vr.ret
+                    trial.label, f.stats.cycles, f.stats.ret, vr.cycles, vr.ret
                 ))
-            } else if frun.mems() != vrun.mems() || !images_equal(&fi, &vrun.image(vr)) {
+            } else if f.mems != vrun.mems() || !images_equal(&f.image, &vrun.image(vr)) {
                 Some(format!(
                     "{}: output images diverged ({:?} vs {:?})",
                     trial.label,
-                    fi,
+                    f.image,
                     vrun.image(vr)
                 ))
             } else {
                 None
             };
-            TrialOutcome { mismatch, timed_out: rr.timed_out, rejected: None, image: Some(fi) }
+            TrialOutcome {
+                mismatch,
+                timed_out: f.stats.timed_out,
+                rejected: None,
+                terminated: true,
+            }
         }
         (Err(re), Err(ve)) if re == ve => TrialOutcome {
             mismatch: None,
             timed_out: *re == SimError::CycleLimit,
             rejected: (*re != SimError::CycleLimit).then(|| re.clone()),
-            image: None,
+            terminated: false,
         },
-        (Err(re), Err(ve)) => TrialOutcome {
-            mismatch: Some(format!("{}: errors diverged (fsmd {re} vs vlog {ve})", trial.label)),
-            timed_out: false,
-            rejected: None,
-            image: None,
-        },
-        (Ok(_), Err(e)) => TrialOutcome {
-            mismatch: Some(format!("{}: fsmd completed but vlog failed ({e})", trial.label)),
-            timed_out: false,
-            rejected: None,
-            image: None,
-        },
-        (Err(e), Ok(_)) => TrialOutcome {
-            mismatch: Some(format!("{}: vlog completed but fsmd failed ({e})", trial.label)),
-            timed_out: false,
-            rejected: None,
-            image: None,
-        },
+        (Err(re), Err(ve)) => diverged(format!("errors diverged (fsmd {re} vs vlog {ve})")),
+        (Ok(_), Err(e)) => diverged(format!("fsmd completed but vlog failed ({e})")),
+        (Err(e), Ok(_)) => diverged(format!("vlog completed but fsmd failed ({e})")),
     }
 }
 
 /// Deterministic fold in (case-major, trial-minor) order — the same order
-/// the sequential loop reported in. Skipped and panicked cells are
-/// tallied, not folded; `comparisons` counts only completed pairs.
+/// the sequential loop reported in. A pair that panicked in either
+/// fan-out, or that the budget left without both halves, is tallied,
+/// not folded; `comparisons` counts only completed pairs.
 fn fold_outcomes(
     design: &LockedDesign,
     cases: &[TestCase],
     trials: &[KeyTrial],
     goldens: &[OutputImage],
-    cells: Vec<TrialCell<TrialOutcome>>,
+    fsmd: &[TrialCell<FsmdHalf>],
+    vlog: &[TrialCell<Option<TrialOutcome>>],
 ) -> DifferentialReport {
     let (n_cases, n_trials) = (cases.len(), trials.len());
     let mut report = DifferentialReport { design: design.top.clone(), ..Default::default() };
     let mut hd_sum = 0.0;
     let mut hd_n = 0usize;
-    let mut cells: Vec<Option<TrialCell<TrialOutcome>>> = cells.into_iter().map(Some).collect();
     for (c, t) in (0..n_cases).flat_map(|c| (0..n_trials).map(move |t| (c, t))) {
-        let cell = cells[t * n_cases + c].take().expect("one visit per trial");
+        let i = t * n_cases + c;
         let (golden, trial) = (&goldens[c], &trials[t]);
-        let outcome = match cell {
-            TrialCell::Done(o) => o,
-            TrialCell::Panicked { .. } => {
+        let (half, outcome) = match (&fsmd[i], &vlog[i]) {
+            (TrialCell::Done(half), TrialCell::Done(Some(o))) => (half, o),
+            (TrialCell::Panicked { .. }, _) | (_, TrialCell::Panicked { .. }) => {
                 report.panics += 1;
                 report.panic_labels.push(format!("{}/case-{c}", trial.label));
                 continue;
             }
-            TrialCell::Skipped => {
+            _ => {
                 report.skipped += 1;
                 continue;
             }
         };
         report.comparisons += 1;
-        if let Some(m) = outcome.mismatch {
-            report.rtl_vlog_mismatches.push(m);
+        if let Some(m) = &outcome.mismatch {
+            report.rtl_vlog_mismatches.push(m.clone());
         }
-        if let Some(e) = outcome.rejected {
+        if let Some(e) = &outcome.rejected {
             report
                 .rejected
                 .push(format!("{}/case-{c}: both layers rejected the run ({e})", trial.label));
@@ -356,8 +419,9 @@ fn fold_outcomes(
         if outcome.timed_out {
             report.timeouts += 1;
         }
+        let image = half.as_ref().ok().filter(|_| outcome.terminated).map(|s| &s.image);
         if trial.expect_golden {
-            match &outcome.image {
+            match image {
                 Some(img) if images_equal(golden, img) => {}
                 Some(_) => report
                     .golden_failures
@@ -366,15 +430,19 @@ fn fold_outcomes(
                     .golden_failures
                     .push(format!("{}: correct key did not terminate", trial.label)),
             }
-        } else if let Some(img) = &outcome.image {
+        } else if let Some(img) = image {
             if images_equal(golden, img) {
                 report.wrong_key_clean += 1;
             } else {
                 report.wrong_key_corrupted += 1;
             }
+            // A design without an observable output bit has no Hamming
+            // fraction to average.
             let (d, t) = golden.hamming(img);
-            hd_sum += d as f64 / t as f64;
-            hd_n += 1;
+            if t > 0 {
+                hd_sum += d as f64 / t as f64;
+                hd_n += 1;
+            }
         } else {
             // Non-terminating wrong key: corrupted by definition.
             report.wrong_key_corrupted += 1;
@@ -433,17 +501,46 @@ mod tests {
         let lk = locking(11);
         let d = lock(&m, "fir", &lk, &TaoOptions::default()).unwrap();
         let cases = [TestCase::args(&[2, 7]), TestCase::args(&[0, 1])];
-        let trials = standard_trials(&d, &lk, 4, 0xabc);
-        let budget = SimOptions { max_cycles: 200_000, snapshot_on_timeout: true };
-        let one = differential_verify_on(&d, &cases, &trials, &budget, &GridExec::new(1)).unwrap();
-        let four = differential_verify_on(&d, &cases, &trials, &budget, &GridExec::new(4)).unwrap();
-        assert_eq!(one.comparisons, four.comparisons);
-        assert_eq!(one.rtl_vlog_mismatches, four.rtl_vlog_mismatches);
-        assert_eq!(one.golden_failures, four.golden_failures);
-        assert_eq!(one.wrong_key_clean, four.wrong_key_clean);
-        assert_eq!(one.wrong_key_corrupted, four.wrong_key_corrupted);
-        assert_eq!(one.timeouts, four.timeouts);
-        assert_eq!(one.avg_wrong_hd.to_bits(), four.avg_wrong_hd.to_bits());
+        let mut trials = standard_trials(&d, &lk, 6, 0xabc);
+        let short = KeyBits::from_fn(d.fsmd.key_width - 1, || u64::MAX);
+        trials.push(KeyTrial { label: "short".into(), working_key: short, expect_golden: false });
+        let budget = SimOptions { max_cycles: 20_000, snapshot_on_timeout: true };
+        // The planted emitter bug of `a_planted_emitter_bug_is_caught`:
+        // the text stores flipped constants the FSMD model does not.
+        let mut tampered = d.fsmd.clone();
+        for c in &mut tampered.consts {
+            c.bits ^= 1;
+        }
+        let sweep = |emitted: &Fsmd| {
+            let run = |workers| {
+                let exec = GridExec::new(workers);
+                verify_emitted(&d, emitted, &cases, &trials, &budget, &exec).unwrap()
+            };
+            let one = run(1);
+            for workers in [2, 3, 8] {
+                assert_eq!(run(workers), one, "workers={workers}");
+            }
+            one
+        };
+        let honest = sweep(&d.fsmd);
+        assert!(honest.rtl_vlog_mismatches.is_empty(), "{honest}");
+        assert!(honest.timeouts > 0, "the sweep must hold a timed-out wrong key: {honest}");
+        assert_eq!(honest.rejected.len(), cases.len(), "{honest}");
+        let planted = sweep(&tampered);
+        assert!(!planted.rtl_vlog_mismatches.is_empty(), "{planted}");
+    }
+
+    #[test]
+    fn a_design_without_outputs_averages_no_hamming_fraction() {
+        let m = hls_frontend::compile("void f(int a) { int b = a + 1; }", "t").unwrap();
+        let lk = locking(3);
+        let d = lock(&m, "f", &lk, &TaoOptions::default()).unwrap();
+        let trials = standard_trials(&d, &lk, 3, 0x0b5);
+        let opts = SimOptions { max_cycles: 1_000, snapshot_on_timeout: true };
+        let report = differential_verify(&d, &[TestCase::args(&[4])], &trials, &opts).unwrap();
+        assert_eq!(report.comparisons, 4, "{report}");
+        assert_eq!(report.avg_wrong_hd, 0.0, "{report}");
+        assert!(!report.to_string().contains("NaN"), "{report}");
     }
 
     #[test]
