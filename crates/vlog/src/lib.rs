@@ -50,7 +50,6 @@ pub mod ast;
 pub mod lexer;
 pub mod parser;
 pub mod sim;
-pub mod spec;
 pub mod tape;
 pub mod vcd;
 

@@ -231,20 +231,9 @@ pub struct VlogTape {
     closure_of: Vec<(u32, u32)>,
     /// Wires whose transitive dependencies are only run-stable inputs
     /// (the working key and the argument ports), in topological order:
-    /// evaluated once per run instead of once per cycle.
+    /// evaluated once at the start of every run instead of once per
+    /// cycle (TAO's decrypt-constant nets all land here).
     run_const_wires: Vec<u32>,
-    /// The key-only subset of `run_const_wires` (no argument-port
-    /// reads), in topological order: their values are a pure function of
-    /// the working key, so [`TapeRunner`] caches them across runs and
-    /// restores instead of re-evaluating while the key is unchanged —
-    /// the vlog side of bind-time specialization (TAO's
-    /// decrypt-constant nets all land here).
-    pub(crate) key_const_wires: Vec<u32>,
-    /// The remaining (argument-dependent) run-constant wires, in
-    /// topological order; evaluated per run even on a key-cache hit.
-    /// Safe to evaluate after restoring the key-constant wires: a
-    /// key-constant wire can never depend on an argument-dependent one.
-    arg_const_wires: Vec<u32>,
     body_seg: Vec<Op>,
     dense: Vec<DenseTable>,
     sparse: Vec<SparseTable>,
@@ -334,7 +323,6 @@ impl VlogTape {
             wstamp: vec![0; self.n_sigs],
             stamp: 0,
             switch_cache: vec![u32::MAX; self.n_caches as usize],
-            key_cache: None,
             det: LoopDetector::default(),
         }
     }
@@ -465,10 +453,6 @@ pub struct TapeRunner<'a> {
     stamp: u64,
     /// Resolved targets of run-cached switches (`u32::MAX` = invalid).
     switch_cache: Vec<u32>,
-    /// Bind-time specialization state: the key-constant wire values of
-    /// the last bound key, restored instead of re-evaluated while the
-    /// key is unchanged (see [`crate::spec`]).
-    key_cache: Option<crate::spec::KeyConstCache>,
     /// Brent's snapshots of the untraced run path (see [`sim_core::loops`]).
     det: LoopDetector,
 }
@@ -565,36 +549,13 @@ impl TapeRunner<'_> {
             }
         }
 
-        // Run-stable wires: evaluate once, mark fresh forever (their
-        // inputs cannot change until the next run). The key-only subset
-        // is additionally stable across *runs* under an unchanged key,
-        // so on a key-cache hit its values restore without touching the
-        // evaluation segments at all — the batch pattern (one key, many
-        // stimuli) decrypts TAO constants once per key, not once per run.
-        match self.key_cache.as_ref().filter(|c| c.matches(key)) {
-            Some(cache) => {
-                for (&w, &v) in t.key_const_wires.iter().zip(cache.vals()) {
-                    self.v[t.n_sigs + w as usize] = v;
-                    self.wstamp[w as usize] = u64::MAX;
-                }
-                for &w in &t.arg_const_wires {
-                    let (s, e) = t.wire_span[w as usize];
-                    self.run_seg(&t.wire_ops[s as usize..e as usize]);
-                    self.wstamp[w as usize] = u64::MAX;
-                }
-            }
-            None => {
-                for &w in &t.run_const_wires {
-                    let (s, e) = t.wire_span[w as usize];
-                    self.run_seg(&t.wire_ops[s as usize..e as usize]);
-                    self.wstamp[w as usize] = u64::MAX;
-                }
-                if !t.key_const_wires.is_empty() {
-                    let vals =
-                        t.key_const_wires.iter().map(|&w| self.v[t.n_sigs + w as usize]).collect();
-                    self.key_cache = Some(crate::spec::KeyConstCache::new(key.clone(), vals));
-                }
-            }
+        // Run-stable wires: evaluate once per run in topological order
+        // and mark fresh for the rest of it (the key and the argument
+        // ports cannot change until the next run).
+        for &w in &t.run_const_wires {
+            let (s, e) = t.wire_span[w as usize];
+            self.run_seg(&t.wire_ops[s as usize..e as usize]);
+            self.wstamp[w as usize] = u64::MAX;
         }
 
         // Reset edge: rst high, start low.
@@ -1070,8 +1031,6 @@ struct TapeCompiler<'a> {
     pool_map: BTreeMap<u64, u32>,
     /// Per-signal run-constant flags (wire-kind signals only).
     run_const: Vec<bool>,
-    /// Per-signal key-only-constant flags (subset of `run_const`).
-    key_const: Vec<bool>,
     /// First scratch index of the active region (body, then wires).
     scratch_base: u32,
     sp: u32,
@@ -1090,7 +1049,6 @@ impl<'a> TapeCompiler<'a> {
             pool: Vec::new(),
             pool_map: BTreeMap::new(),
             run_const: vec![false; n],
-            key_const: vec![false; n],
             scratch_base: 2 * n as u32,
             sp: 2 * n as u32,
             frame: 2 * n as u32,
@@ -1104,19 +1062,11 @@ impl<'a> TapeCompiler<'a> {
         // happens once per run, not per cycle.
         let order = c.levelize()?;
         let mut run_const_wires = Vec::new();
-        let mut key_const_wires = Vec::new();
-        let mut arg_const_wires = Vec::new();
         for &sig_id in &order {
             let SigKind::Wire(widx) = sim.sigs[sig_id].kind else { unreachable!() };
             if c.is_run_const(&sim.wires[widx]) {
                 c.run_const[sig_id] = true;
                 run_const_wires.push(sig_id as u32);
-                if c.is_key_const(&sim.wires[widx]) {
-                    c.key_const[sig_id] = true;
-                    key_const_wires.push(sig_id as u32);
-                } else {
-                    arg_const_wires.push(sig_id as u32);
-                }
             }
         }
 
@@ -1178,8 +1128,6 @@ impl<'a> TapeCompiler<'a> {
             closures,
             closure_of,
             run_const_wires,
-            key_const_wires,
-            arg_const_wires,
             body_seg,
             dense: c.dense,
             sparse: c.sparse,
@@ -1274,43 +1222,24 @@ impl<'a> TapeCompiler<'a> {
     /// change every cycle, so any such read disqualifies the wire.
     fn is_run_const(&self, e: &CExpr) -> bool {
         let sim = self.sim;
-        self.is_stable(e, &|id: usize| {
+        let stable_sig = |id: usize| {
             matches!(sim.key, Some((kid, _)) if kid == id)
                 || sim.args.contains(&id)
                 || (matches!(sim.sigs[id].kind, SigKind::Wire(_)) && self.run_const[id])
-        })
-    }
-
-    /// Whether `e` reads only key-stable state: constants, the working
-    /// key, and wires already known key-constant — the strict subset of
-    /// [`TapeCompiler::is_run_const`] that excludes the argument ports,
-    /// so the value survives across *runs* while the key is unchanged.
-    fn is_key_const(&self, e: &CExpr) -> bool {
-        let sim = self.sim;
-        self.is_stable(e, &|id: usize| {
-            matches!(sim.key, Some((kid, _)) if kid == id)
-                || (matches!(sim.sigs[id].kind, SigKind::Wire(_)) && self.key_const[id])
-        })
-    }
-
-    fn is_stable(&self, e: &CExpr, stable_sig: &dyn Fn(usize) -> bool) -> bool {
+        };
         match e {
             CExpr::Const { .. } => true,
             CExpr::Sig { id, .. } | CExpr::PartSig { id, .. } => stable_sig(*id),
-            CExpr::SelBit { id, index } => stable_sig(*id) && self.is_stable(index, stable_sig),
+            CExpr::SelBit { id, index } => stable_sig(*id) && self.is_run_const(index),
             CExpr::SelMem { .. } => false,
             CExpr::Unary { a, .. } | CExpr::Signed(a) | CExpr::Repeat { a, .. } => {
-                self.is_stable(a, stable_sig)
+                self.is_run_const(a)
             }
-            CExpr::Binary { a, b, .. } => {
-                self.is_stable(a, stable_sig) && self.is_stable(b, stable_sig)
-            }
+            CExpr::Binary { a, b, .. } => self.is_run_const(a) && self.is_run_const(b),
             CExpr::Cond { c, t, e } => {
-                self.is_stable(c, stable_sig)
-                    && self.is_stable(t, stable_sig)
-                    && self.is_stable(e, stable_sig)
+                self.is_run_const(c) && self.is_run_const(t) && self.is_run_const(e)
             }
-            CExpr::Concat(parts) => parts.iter().all(|p| self.is_stable(p, stable_sig)),
+            CExpr::Concat(parts) => parts.iter().all(|p| self.is_run_const(p)),
         }
     }
 
@@ -2185,9 +2114,9 @@ mod tests {
     }
 
     #[test]
-    fn key_cache_restores_identically_across_runs_and_rebinds() {
-        // const0/const1 are key-only (cache across runs); mix0 reads an
-        // argument port, so it stays per-run even on a cache hit.
+    fn run_constant_wires_follow_each_runs_key_and_args() {
+        // const0/const1 read only the key; mix0 also reads an argument
+        // port. All three are evaluated afresh at the start of every run.
         let src = r#"
             module t (
                 input  wire clk,
@@ -2214,8 +2143,7 @@ mod tests {
             endmodule
         "#;
         let tape = VlogTape::new(src).unwrap();
-        assert_eq!(tape.key_const_wires.len(), 2, "const0 and const1 are key-only");
-        assert_eq!(tape.run_const_wires.len(), 3, "mix0 is run-constant but arg-dependent");
+        assert_eq!(tape.run_const_wires.len(), 3, "const0, const1 and mix0 are run-constant");
 
         let mut ka = KeyBits::zero(16);
         ka.set_bit(3, true);
@@ -2224,8 +2152,8 @@ mod tests {
         kb.set_bit(0, true);
         let opts = SimOptions::default();
         let mut runner = tape.runner();
-        // Miss, hit (same key, new args), rebind, and hit again — every
-        // run must equal a fresh one-shot.
+        // The same key with new args, a new key, then the first key
+        // again: every run must equal a fresh one-shot.
         for (key, arg) in [(&ka, 3u64), (&ka, 0xffff_0001), (&kb, 3), (&ka, 3)] {
             let got = runner.run(&[arg], key, &[], &opts).unwrap();
             let want = tape.simulate(&[arg], key, &[], &opts).unwrap();
