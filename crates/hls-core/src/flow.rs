@@ -17,8 +17,6 @@ use std::fmt;
 pub struct HlsOptions {
     /// Resource budget for scheduling.
     pub allocation: Allocation,
-    /// Clock period target in ns (the paper targets 2 ns / 500 MHz).
-    pub clock_period_ns: f64,
     /// Loop-unrolling factor applied by the front end (1 = disabled).
     /// Bambu's loop optimizations are why the paper's Table 1 block
     /// counts are high; see `hls_ir::passes::UnrollLoops`.
@@ -27,7 +25,7 @@ pub struct HlsOptions {
 
 impl Default for HlsOptions {
     fn default() -> Self {
-        HlsOptions { allocation: Allocation::default(), clock_period_ns: 2.0, unroll_factor: 1 }
+        HlsOptions { allocation: Allocation::default(), unroll_factor: 1 }
     }
 }
 

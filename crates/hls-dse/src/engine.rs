@@ -104,8 +104,6 @@ pub struct DseOptions {
     pub threads: usize,
     /// Simulator budget for the per-point sign-off run.
     pub sim: SimOptions,
-    /// Seed of the deterministic 256-bit locking key shared by the sweep.
-    pub locking_seed: u64,
     /// When set, every point additionally runs a budgeted SAT attack
     /// against its emitted Verilog and records the measured effort
     /// (DIPs, conflicts) — upgrading the `attack_effort` axis from an
@@ -138,7 +136,6 @@ impl Default for DseOptions {
         DseOptions {
             threads: 0,
             sim: SimOptions::default(),
-            locking_seed: 0xD5E,
             sat_signoff: None,
             budget: Budget::unlimited(),
             obs: obs::Obs::off(),
@@ -200,9 +197,12 @@ impl From<SimError> for DseError {
     }
 }
 
+/// Seed of the deterministic 256-bit locking key every sweep shares.
+const LOCKING_SEED: u64 = 0xD5E;
+
 /// Deterministic 256-bit locking key for the sweep.
-fn locking_key(seed: u64) -> KeyBits {
-    let mut s = seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
+fn locking_key() -> KeyBits {
+    let mut s = LOCKING_SEED.wrapping_mul(0x9e3779b97f4a7c15) | 1;
     KeyBits::from_fn(256, || {
         s ^= s << 13;
         s ^= s >> 7;
@@ -271,7 +271,7 @@ pub fn explore(
         return Err(DseError::Empty);
     }
     let cm = CostModel::default();
-    let lk = locking_key(opts.locking_seed);
+    let lk = locking_key();
     let obs = &opts.obs;
     let budget = &opts.budget;
     let exec = GridExec::new(opts.threads).with_obs(obs.clone());
@@ -428,8 +428,6 @@ pub fn explore(
                         std::slice::from_ref(&prep.case),
                         &tao::SatAttackConfig {
                             unroll: Some(res.cycles as u32 + cfg.slack),
-                            slack: cfg.slack,
-                            initial_unroll: None,
                             max_dips: Some(cfg.max_dips),
                             conflict_budget: Some(cfg.conflict_budget),
                             step_budget: None,

@@ -159,22 +159,22 @@ fn true_assignment(correct_key: &KeyBits, branch_bits: &[u32]) -> u64 {
 
 // ------------------------------------------------------------ SAT attack
 
+/// Extra cycles the design-level attack adds to the probed correct-key
+/// latency when no depth is given (room for wrong keys whose last
+/// distinguishing write lands late).
+const PROBE_SLACK: u32 = 8;
+
 /// Options for the design-level SAT attack.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SatAttackConfig {
     /// Explicit unrolling depth, or `None` to probe the correct-key
-    /// latency over the given cases and add [`SatAttackConfig::slack`].
-    /// An explicit depth of 0 is read as 1, the shallowest observable
-    /// (as [`SatAttackOptions::unroll_cycles`] reads it).
+    /// latency over the given cases and add 8 cycles of slack. An
+    /// explicit depth of 0 is read as 1, the shallowest observable (as
+    /// [`SatAttackOptions::unroll_cycles`] reads it). The lazy unrolling
+    /// starts at the worst latency the probe measured, clamped to this
+    /// depth, and grows toward it only when a proof touches the
+    /// k-boundary frame.
     pub unroll: Option<u32>,
-    /// Extra cycles on top of the probed latency (room for wrong keys
-    /// whose last distinguishing write lands late).
-    pub slack: u32,
-    /// Starting depth of the lazy incremental unrolling (`None` = the
-    /// worst latency the probe measured — any shallower start only
-    /// yields boundary artifacts); the DIP loop grows toward the full
-    /// bound only when a proof touches the k-boundary frame.
-    pub initial_unroll: Option<u32>,
     /// Stop after this many DIPs.
     pub max_dips: Option<u64>,
     /// Total solver conflict budget.
@@ -198,8 +198,6 @@ impl Default for SatAttackConfig {
     fn default() -> Self {
         SatAttackConfig {
             unroll: None,
-            slack: 8,
-            initial_unroll: None,
             max_dips: None,
             conflict_budget: None,
             step_budget: None,
@@ -298,7 +296,7 @@ pub fn sat_attack_design(
                 })
                 .max()
                 .unwrap_or(64) as u32;
-            (worst + cfg.slack, worst)
+            (worst + PROBE_SLACK, worst)
         }
     };
 
@@ -332,7 +330,7 @@ pub fn sat_attack_design(
 
     let opts = SatAttackOptions {
         unroll_cycles: unroll,
-        initial_unroll: cfg.initial_unroll.unwrap_or_else(|| probed_worst.clamp(1, unroll)),
+        initial_unroll: probed_worst.clamp(1, unroll),
         max_dips: cfg.max_dips,
         conflict_budget: cfg.conflict_budget,
         step_budget: cfg.step_budget,
