@@ -152,18 +152,6 @@ impl Dfg {
     pub fn succs(&self, node: NodeIdx) -> impl Iterator<Item = NodeIdx> + '_ {
         self.edges.iter().filter(move |e| e.from == node).map(|e| e.to)
     }
-
-    /// Longest path length (in nodes) — the dependence-depth lower bound on
-    /// schedule latency for single-cycle operations.
-    pub fn critical_path_len(&self) -> usize {
-        let mut depth = vec![1usize; self.num_nodes];
-        for i in 0..self.num_nodes {
-            for p in self.preds(i).collect::<Vec<_>>() {
-                depth[i] = depth[i].max(depth[p] + 1);
-            }
-        }
-        depth.into_iter().max().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -204,7 +192,6 @@ mod tests {
         assert_eq!(dfg.live_in_uses[0].len(), 2);
         assert_eq!(dfg.live_in_uses[1].len(), 1);
         assert_eq!(dfg.live_in_uses[2].len(), 2);
-        assert_eq!(dfg.critical_path_len(), 2);
     }
 
     #[test]

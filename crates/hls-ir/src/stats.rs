@@ -2,7 +2,8 @@
 //!
 //! After compiler optimization, Table 1 reports per benchmark: the number
 //! of constants (`#Const`), basic blocks (`#BB`) and conditional jumps
-//! (`#CJMP`), from which Eq. 1 computes the working-key size `W`.
+//! (`#CJMP`), from which Eq. 1 (`tao::KeyPlan::equation_1`) computes the
+//! working-key size `W`.
 
 use crate::function::Module;
 use std::fmt;
@@ -44,14 +45,6 @@ impl ModuleStats {
             num_instrs: f.num_instrs(),
         })
     }
-
-    /// The paper's Eq. 1: `W = Num_if + Num_const * C + sum_i B_i`, with a
-    /// uniform `B_i = bits_per_block` as in the evaluation (B_i = 4).
-    pub fn working_key_bits(&self, const_width: u32, bits_per_block: u32) -> u64 {
-        self.num_cond_jumps as u64
-            + self.num_consts as u64 * const_width as u64
-            + self.num_blocks as u64 * bits_per_block as u64
-    }
 }
 
 impl fmt::Display for ModuleStats {
@@ -71,29 +64,6 @@ mod tests {
     use crate::instr::Terminator;
     use crate::operand::Constant;
     use crate::types::Type;
-
-    #[test]
-    fn eq1_matches_paper_example() {
-        // Paper Table 1 row `gsm`: 4 constants, 88 BBs, 4 branches, C=32,
-        // B_i=4 gives W = 4 + 4*32 + 88*4 = 484.
-        let s = ModuleStats { num_consts: 4, num_blocks: 88, num_cond_jumps: 4, num_instrs: 0 };
-        assert_eq!(s.working_key_bits(32, 4), 484);
-        // viterbi row: 117 constants, 98 BBs, 9 branches -> 4145.
-        let s = ModuleStats { num_consts: 117, num_blocks: 98, num_cond_jumps: 9, num_instrs: 0 };
-        assert_eq!(s.working_key_bits(32, 4), 4145);
-        // All five rows.
-        for (consts, bb, cjmp, w) in
-            [(4, 88, 4, 484), (5, 100, 5, 565), (2, 11, 2, 110), (12, 123, 11, 887)]
-        {
-            let s = ModuleStats {
-                num_consts: consts,
-                num_blocks: bb,
-                num_cond_jumps: cjmp,
-                num_instrs: 0,
-            };
-            assert_eq!(s.working_key_bits(32, 4), w);
-        }
-    }
 
     #[test]
     fn counts_gathered_from_module() {

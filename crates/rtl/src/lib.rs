@@ -37,8 +37,6 @@ pub mod vcd;
 pub use area::{area, AreaReport, PortStats};
 pub use sim::{simulate, SimError, SimOptions, SimResult, SimStats};
 pub use tape::{CompiledFsmd, FsmdRunner, SpecFsmd};
-pub use testbench::{
-    count_matches, golden_outputs, images_equal, rtl_outputs, OutputImage, TestCase,
-};
+pub use testbench::{golden_outputs, images_equal, rtl_outputs, OutputImage, TestCase};
 pub use timing::{timing, TimingReport};
 pub use vcd::{trace, SignalTrace, Waveform};

@@ -114,28 +114,6 @@ pub fn rtl_outputs(
     Ok((OutputImage { ret, mems }, res))
 }
 
-/// Compares RTL and golden outputs for a batch of test cases; returns the
-/// number of matching cases.
-pub fn count_matches(
-    module: &Module,
-    top: &str,
-    fsmd: &Fsmd,
-    key: &KeyBits,
-    cases: &[TestCase],
-    opts: &SimOptions,
-) -> usize {
-    cases
-        .iter()
-        .filter(|c| {
-            let golden = golden_outputs(module, top, c);
-            match rtl_outputs(fsmd, c, key, opts) {
-                Ok((img, _)) => images_equal(&golden, &img),
-                Err(_) => false,
-            }
-        })
-        .count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,15 +174,5 @@ mod tests {
         let (d, n) = golden.hamming(&img);
         assert_eq!(d, 0);
         assert_eq!(n, 32);
-    }
-
-    #[test]
-    fn count_matches_counts() {
-        let m = hls_frontend::compile("int f(int a) { return a * 3 + 1; }", "t").unwrap();
-        let fsmd = synthesize(&m, "f", &HlsOptions::default()).unwrap();
-        let cases: Vec<TestCase> =
-            [1u64, 2, 3, 500].iter().map(|&a| TestCase::args(&[a])).collect();
-        let n = count_matches(&m, "f", &fsmd, &KeyBits::zero(0), &cases, &SimOptions::default());
-        assert_eq!(n, 4);
     }
 }

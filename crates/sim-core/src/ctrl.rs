@@ -135,11 +135,6 @@ impl Deadline {
     pub fn remaining(&self) -> Option<Duration> {
         self.0.map(|t| t.saturating_duration_since(Instant::now()))
     }
-
-    /// The raw cutoff instant, if any.
-    pub fn instant(&self) -> Option<Instant> {
-        self.0
-    }
 }
 
 /// Shared state of an armed fault plan: the plan plus a record of the
