@@ -319,7 +319,8 @@ pub struct WorkerStat {
     pub steals: u64,
     /// Nanoseconds spent inside trial bodies.
     pub busy_ns: u64,
-    /// Nanoseconds spent minting the context or waiting on the cursor.
+    /// Nanoseconds spent minting the context, waiting on the cursor, or,
+    /// once out of work, waiting for the fan-out's other workers.
     pub idle_ns: u64,
 }
 
@@ -349,13 +350,31 @@ impl WorkerStat {
 /// executor's `grid.worker` spans (their `busy_ns` / `idle_ns` /
 /// `steals` / `trials` args), tid-ordered. Empty when the trace holds
 /// no grid fan-out.
+///
+/// A worker that runs out of work ends its span while the others still
+/// run, so each span is also charged, as idle, the rest of the tightest
+/// `grid.run` (on any lane) that contains it.
 pub fn worker_stats(trace: &Trace) -> Vec<WorkerStat> {
+    let mut runs: Vec<(u64, u64)> = Vec::new();
+    for root in &trace.roots {
+        walk(root, &mut |n| {
+            if n.name == "grid.run" {
+                runs.push((n.start_ns, n.end_ns()));
+            }
+        });
+    }
     let mut by_tid: BTreeMap<u64, WorkerStat> = BTreeMap::new();
     for root in &trace.roots {
         walk(root, &mut |n| {
             if n.name != "grid.worker" {
                 return;
             }
+            let end = n.end_ns();
+            let wait = runs
+                .iter()
+                .filter(|&&(s, e)| s <= n.start_ns && end <= e)
+                .min_by_key(|&&(s, e)| e - s)
+                .map_or(0, |&(_, e)| e - end);
             let w = by_tid
                 .entry(n.tid)
                 .or_insert_with(|| WorkerStat { tid: n.tid, ..Default::default() });
@@ -363,7 +382,7 @@ pub fn worker_stats(trace: &Trace) -> Vec<WorkerStat> {
             w.trials += n.args.get("trials").copied().unwrap_or(0);
             w.steals += n.args.get("steals").copied().unwrap_or(0);
             w.busy_ns += n.args.get("busy_ns").copied().unwrap_or(0);
-            w.idle_ns += n.args.get("idle_ns").copied().unwrap_or(0);
+            w.idle_ns += n.args.get("idle_ns").copied().unwrap_or(0) + wait;
         });
     }
     by_tid.into_values().collect()
@@ -651,8 +670,10 @@ mod tests {
 
     #[test]
     fn worker_stats_aggregate_grid_worker_args_within_bounds() {
+        // Two fan-outs; in the first, tid 3 runs out of work at 610 and
+        // waits 390 ns for the run to end at 1000.
         let t = trace_of(&[
-            ("grid.run", 1, 0, 2000, &[("trials", 8)]),
+            ("grid.run", 1, 0, 1000, &[("trials", 8)]),
             (
                 "grid.worker",
                 2,
@@ -664,9 +685,10 @@ mod tests {
                 "grid.worker",
                 3,
                 10,
-                900,
-                &[("trials", 3), ("steals", 2), ("busy_ns", 300), ("idle_ns", 600)],
+                600,
+                &[("trials", 3), ("steals", 2), ("busy_ns", 300), ("idle_ns", 300)],
             ),
+            ("grid.run", 1, 1000, 600, &[("trials", 2)]),
             (
                 "grid.worker",
                 2,
@@ -679,12 +701,13 @@ mod tests {
         assert_eq!(ws.len(), 2);
         assert_eq!(ws[0].tid, 2);
         assert_eq!((ws[0].spans, ws[0].trials, ws[0].steals), (2, 7, 4));
-        assert_eq!((ws[0].busy_ns, ws[0].idle_ns), (1100, 300));
+        assert_eq!((ws[0].busy_ns, ws[0].idle_ns), (1100, 200 + 90 + 100 + 100));
+        assert_eq!((ws[1].busy_ns, ws[1].idle_ns), (300, 300 + 390));
         for w in &ws {
             let u = w.utilization_pct();
             assert!((0.0..=100.0).contains(&u), "tid {}: {u}", w.tid);
         }
-        assert!((ws[1].utilization_pct() - 33.333).abs() < 0.01);
+        assert!((ws[1].utilization_pct() - 30.303).abs() < 0.01);
         assert!(render_worker_stats(&ws).contains("util%"));
     }
 

@@ -696,6 +696,27 @@ mod tests {
     }
 
     #[test]
+    fn a_worker_out_of_work_waits_as_idle_until_the_fan_out_ends() {
+        // Trial 0 stalls 50 ms and trial 1 returns at once, so whichever
+        // worker takes trial 1 then waits about 50 ms for the other.
+        let sink = std::sync::Arc::new(obs::ChromeTraceSink::new());
+        let stall =
+            FaultPlan::new().stall_at(sites::GRID_TRIAL, 0, std::time::Duration::from_millis(50));
+        let exec = GridExec::new(2)
+            .with_obs(Obs::new(sink.clone()))
+            .with_budget(Budget::unlimited().with_faults(stall));
+        let cells = exec.run_cells(2, 1, || (), |_, i| i);
+        assert!(cells.iter().all(|c| c.as_done().is_some()));
+        let trace = obs::analyze::parse_trace(&sink.to_json()).expect("own trace parses");
+        let ws = obs::analyze::worker_stats(&trace);
+        assert_eq!(ws.len(), 2, "both workers recorded a span");
+        let busy: u64 = ws.iter().map(|w| w.busy_ns).sum();
+        let idle: u64 = ws.iter().map(|w| w.idle_ns).sum();
+        let util = busy as f64 * 100.0 / (busy + idle) as f64;
+        assert!(util <= 60.0, "the fan-out read {util:.1}% utilized");
+    }
+
+    #[test]
     fn the_caller_is_worker_zero_and_leads_before_it_steals() {
         let caller = std::thread::current().id();
         assert_eq!(GridExec::new(3).run_cells_with_lead(0, 1, || 7, || (), |_, i| i), (7, vec![]));
